@@ -1,22 +1,17 @@
 #!/usr/bin/env python
-"""Interleave and gather several requests on one engine.
+"""Serve several requests at once on one engine, gathered.
 
 The paper serves one request at a time; this example drives the engine
 core's resumable step machine (``start``/``step``/``finish``) through
 :class:`repro.sched.ContinuousBatchScheduler` so several sequences share
-the four hardware lanes at once, and compares the scheduler's two
-execution modes:
-
-- ``interleaved``: round-robin of independent ``step()`` calls.  The
-  lane clocks are forward-only (the substrate's FIFO list scheduling),
-  so interleaving does not shrink total lane-busy time -- what it buys
-  is concurrency: later requests stop waiting for earlier ones to fully
-  finish, which collapses time to first token and queueing delay.
-- ``gathered`` (the default): decode tokens routed to the same expert
-  *across sequences* merge into one kernel launch priced by the cost
-  model's batch-efficiency curves, so lane-busy time itself drops and
-  decode throughput rises -- while every sequence's token stream stays
-  bitwise identical to its solo run.
+the four hardware lanes at once, and sweeps ``max_batch``.  Batch size
+one is the paper's regime.  At larger batch sizes, later requests stop
+waiting for earlier ones to finish (time to first token and queueing
+delay collapse), and tokens routed to the same expert *across
+sequences* merge into one kernel launch priced by the cost model's
+batch-efficiency curves, so lane-busy time itself drops and throughput
+rises -- while every sequence's token stream stays bitwise identical to
+its solo run.
 
 Run:  python examples/continuous_batching.py
 """
@@ -25,7 +20,7 @@ from repro import build_mixtral_8x7b_sim, default_platform
 from repro.core import build_engine, calibrate_activation_probs
 from repro.core.engine import SequenceRequest
 from repro.metrics import format_table
-from repro.sched import GATHERED, INTERLEAVED, ContinuousBatchScheduler
+from repro.sched import ContinuousBatchScheduler
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 N_REQUESTS = 6
@@ -55,41 +50,37 @@ def main() -> None:
 
     rows = []
     for batch_size in BATCH_SIZES:
-        for mode in (INTERLEAVED, GATHERED):
-            engine = build_engine("daop", bundle, platform,
-                                  expert_cache_ratio=0.469,
-                                  calibration_probs=calibration)
-            scheduler = ContinuousBatchScheduler(
-                engine, max_batch=batch_size, mode=mode
-            )
-            report = scheduler.run(requests)
-            rows.append([
-                batch_size, mode,
-                report.makespan_s,
-                f"{100 * report.overlap_ratio:.0f}%",
-                report.throughput_tokens_per_s,
-                report.mean_ttft_s(),
-                f"{report.n_expert_kernels}/{report.n_expert_ops}",
-            ])
-            print(f"served {N_REQUESTS} requests at "
-                  f"max_batch={batch_size} ({mode}) ...")
+        engine = build_engine("daop", bundle, platform,
+                              expert_cache_ratio=0.469,
+                              calibration_probs=calibration)
+        report = ContinuousBatchScheduler(
+            engine, max_batch=batch_size
+        ).run(requests)
+        rows.append([
+            batch_size,
+            report.makespan_s,
+            f"{100 * report.overlap_ratio:.0f}%",
+            report.throughput_tokens_per_s,
+            report.mean_ttft_s(),
+            f"{report.n_expert_kernels}/{report.n_expert_ops}",
+        ])
+        print(f"served {N_REQUESTS} requests at max_batch={batch_size} ...")
 
     print()
     print(format_table(
-        ["batch", "mode", "makespan (s)", "overlap", "tok/s",
-         "mean TTFT (s)", "kernels/ops"],
+        ["batch", "makespan (s)", "overlap", "tok/s", "mean TTFT (s)",
+         "kernels/ops"],
         rows,
         title=f"DAOP continuous batching: {N_REQUESTS} requests, "
               f"in/out {PROMPT_LEN}/{OUTPUT_LEN}",
     ))
     print()
     print("Expected shape: at batch 1 the service spans tile the makespan")
-    print("(overlap 0%) and both modes coincide -- one resident sequence")
-    print("leaves nothing to gather.  At batch 4 interleaving collapses")
-    print("mean TTFT while the makespan stays pinned by serialized lane")
-    print("work; gathering additionally merges same-expert decode kernels")
-    print("across sequences (kernels < ops), shrinking the makespan and")
-    print("lifting decode throughput at identical token streams.")
+    print("(overlap 0%) and kernels equal ops -- one resident sequence")
+    print("leaves nothing to gather.  Larger batches collapse mean TTFT and")
+    print("merge same-expert kernels across sequences (kernels < ops),")
+    print("shrinking the makespan and lifting throughput at identical")
+    print("token streams.")
 
 
 if __name__ == "__main__":

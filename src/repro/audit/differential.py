@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.audit.invariants import AuditReport, audit_generation
+from repro.audit.resume import timeline_signature
 from repro.core import ENGINE_NAMES, build_engine
 from repro.core.engine import GenerationResult, SequenceRequest
 from repro.hardware.platform import Platform
@@ -464,15 +465,16 @@ def _check_parity(comparison: StepParityComparison, path: str,
             comparison.problems.append(
                 f"{path}: {attr} {got!r} != generate()'s {ref!r}"
             )
-    if reference.timeline.makespan != candidate.timeline.makespan:
-        comparison.problems.append(
-            f"{path}: makespan {candidate.timeline.makespan!r} != "
-            f"generate()'s {reference.timeline.makespan!r}"
+    want_ops = timeline_signature(reference.timeline)
+    got_ops = timeline_signature(candidate.timeline)
+    if got_ops != want_ops:
+        where = next(
+            (i for i, (g, w) in enumerate(zip(got_ops, want_ops)) if g != w),
+            min(len(got_ops), len(want_ops)),
         )
-    if len(reference.timeline.ops) != len(candidate.timeline.ops):
         comparison.problems.append(
-            f"{path}: op count {len(candidate.timeline.ops)} != "
-            f"generate()'s {len(reference.timeline.ops)}"
+            f"{path}: per-op timeline differs from generate() at op "
+            f"{where} ({len(got_ops)} vs {len(want_ops)} ops)"
         )
 
 
@@ -494,7 +496,9 @@ def run_step_parity_audit(
     For every engine and seed, the same request is run three ways: the
     monolithic ``generate()``, an explicit ``start``/``step``/``finish``
     loop, and a batch-1 :class:`ContinuousBatchScheduler`.  All three
-    must agree bitwise on tokens, counters, and timing; the
+    must agree bitwise on tokens, counters, and the full per-op
+    timeline signature (resource, duration, start, end, kind, label of
+    every op, :func:`~repro.audit.resume.timeline_signature`); the
     scheduler-produced result additionally passes the full invariant
     audit (so scheduler output is interchangeable with ``generate()``
     output everywhere downstream).

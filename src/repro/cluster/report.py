@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.admission import EXPIRED, SHED, SLOTarget
 from repro.core.batching import GatherStats
-from repro.serving.simulator import ServedRequest, percentile_or_zero
+from repro.scenarios import percentile_or_zero
+from repro.serving.simulator import ServedRequest
 
 
 @dataclass(frozen=True)
@@ -263,9 +264,10 @@ class ClusterReport:
     def replica_gather_stats(self, replica: int) -> GatherStats:
         """Cumulative kernel-amortization stats of one replica.
 
-        Populated by the cluster simulator when its scheduler runs in
-        gathered mode; replicas of an interleaved (or pre-gather) run
-        report the all-zero accumulator, whose amortization is 1.0.
+        Populated by the cluster simulator from every gang's scheduler
+        run; a replica that never gathered (or a report built without
+        the per-replica list) reads the all-zero accumulator, whose
+        amortization is 1.0.
         """
         if replica < len(self.replica_gather):
             return self.replica_gather[replica]

@@ -69,7 +69,11 @@ from repro.model.serialization import (
     encode_array,
     encode_optional_array,
 )
-from repro.sched.scheduler import GATHERED, INTERLEAVED, ContinuousBatchScheduler
+from repro.sched.scheduler import (
+    GATHERED,
+    ContinuousBatchScheduler,
+    check_mode,
+)
 from repro.serving.checkpoint import (
     CLUSTER_KIND,
     CheckpointError,
@@ -173,11 +177,9 @@ class ClusterSimulator:
             the next gang only once the whole gang has completed.  The
             default of 1 is the sequential one-request-at-a-time service
             of the paper's regime.
-        mode: scheduler execution mode within each gang —
-            :data:`~repro.sched.scheduler.GATHERED` (default) merges
-            same-expert decode work across gang members into shared
-            kernels; :data:`~repro.sched.scheduler.INTERLEAVED`
-            round-robins independent steps.
+        mode: scheduler execution mode within each gang; only
+            :data:`~repro.sched.scheduler.GATHERED`, which merges
+            same-expert work across gang members into shared kernels.
     """
 
     def __init__(
@@ -195,11 +197,7 @@ class ClusterSimulator:
             raise ValueError("at least one engine replica is required")
         if concurrency < 1:
             raise ValueError("concurrency must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
+        check_mode(mode)
         self.engines = list(engines)
         self.generator = generator
         self.policy = policy
@@ -677,8 +675,7 @@ class ClusterSimulator:
             engine.events.unsubscribe(self._forward_event)
             engine.events.subscribe(self._forward_event)
         batch = scheduler.run(seq_requests)
-        if batch.gather is not None:
-            session.gather[replica_idx].merge(batch.gather)
+        session.gather[replica_idx].merge(batch.gather)
         if self.carry_placement:
             last = max(batch.records,
                        key=lambda rec: (rec.finish_s, rec.seq_id))

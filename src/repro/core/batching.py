@@ -5,24 +5,24 @@ prefetch-ahead) and the shared prefill pass are all expressed as
 generators that *describe* each block's routed expert executions as
 :class:`BlockWork` instead of executing them inline
 (:meth:`~repro.core.engine.BaseEngine._decode_blocks`,
-:meth:`~repro.core.engine.BaseEngine._prefill_blocks`).  A driver then
-decides how the described work runs:
+:meth:`~repro.core.engine.BaseEngine._prefill_blocks`).  One driver
+runs the described work for any number of sequences
+(:meth:`~repro.core.engine.BaseEngine.step_batch` and
+:meth:`~repro.core.engine.BaseEngine.step_prefill_batch`;
+:meth:`~repro.core.engine.BaseEngine.step` is the same driver over one
+sequence): calls from *different sequences* that target the same
+``(block, expert, device)`` are grouped into one simulated kernel whose
+cost follows the hardware batch-efficiency curves
+(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`), while
+each participant's functional values are still evaluated row-by-row
+through the cache-aware stage API
+(:meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`), so the
+token stream is identical to a solo run token for token.  Groups run in
+first-appearance order (:func:`group_block_work`), so a single sequence
+executes its calls exactly in the order its policy described them.
 
-- solo (:meth:`~repro.core.engine.BaseEngine.step`): each call executes
-  immediately, in call order, exactly as the pre-protocol engines did —
-  batch size one stays bitwise identical by construction;
-- gathered (:meth:`~repro.core.engine.BaseEngine.step_batch`): calls
-  from *different sequences* that target the same ``(block, expert,
-  device)`` are grouped into one simulated kernel whose cost follows the
-  hardware batch-efficiency curves
-  (:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`), while
-  each participant's functional values are still evaluated row-by-row
-  through the cache-aware stage API
-  (:meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`), so the
-  token stream is identical to a solo run token for token.
-
-This module holds the protocol's data types; the drivers live on
-:class:`~repro.core.engine.BaseEngine` so they share the engines'
+This module holds the protocol's data types; the driver lives on
+:class:`~repro.core.engine.BaseEngine` so it shares the engines'
 substrate (cost model, timeline, counters) under the same lint contract.
 """
 
@@ -92,8 +92,7 @@ class GatherStats:
     One *logical* op is one sequence's share of a stage (what the
     per-sequence timelines and counters record); one *physical* kernel
     is one gathered launch serving every participant at once.  The gap
-    between the two is the amortization the gathered scheduler mode
-    buys.
+    between the two is the amortization gathered execution buys.
 
     ``expert_*`` and ``lm_head_*`` are whole-run totals across both
     phases; the ``prefill_*`` fields split out the gathered-prefill
@@ -205,8 +204,9 @@ def group_block_work(works: list) -> dict:
     Returns:
         Mapping from ``(block_idx, expert, location)`` to the list of
         ``(work_index, call_index)`` participants, insertion-ordered by
-        sequence then call — the stable per-sequence ordering that keeps
-        gathered execution deterministic and batch=1 bitwise-identical.
+        sequence then call.  The executor runs groups in this
+        first-appearance order, which keeps gathered execution
+        deterministic and a single sequence's calls in policy order.
     """
     groups: dict = {}
     for i, work in enumerate(works):

@@ -202,10 +202,9 @@ class DAOPEngine(BaseEngine):
         """DAOP decode policy as a block-work generator.
 
         Yields one :class:`~repro.core.batching.BlockWork` per block so
-        the same policy runs under the solo driver (bitwise identical to
-        the pre-protocol inline path) and under
-        :meth:`~repro.core.engine.BaseEngine.step_batch` (routed expert
-        executions gathered across sequences).  The predictive
+        the gathered driver (:meth:`~repro.core.engine.BaseEngine.
+        step_batch`) can merge its routed expert executions with other
+        sequences'; alone, they run in the order yielded.  The predictive
         pre-calculation round-trips stay per-sequence — they are policy-
         internal work issued a block early, not routed executions.
         """
@@ -357,8 +356,8 @@ class DAOPEngine(BaseEngine):
 
         Generator: pre-calculated CPU results are consumed directly;
         the remaining GPU/fallback executions are yielded as routed
-        work (in slot order, matching the pre-protocol inline path) and
-        scattered back into their slots.  Use via ``yield from``.
+        work (in slot order, which is also their execution order when
+        the sequence runs alone) and scattered back into their slots.  Use via ``yield from``.
         """
         executed, pred_logits, cpu_results = carry
         block = self.model.blocks[block_idx]

@@ -570,52 +570,16 @@ class BaseEngine:
         In the ``prefill`` phase this runs the whole prompt through the
         model (plus the LM head) and samples the first token; in the
         ``decode`` phase it runs one decode token.  Either way exactly
-        one token is appended to ``state.generated``.
+        one token is appended to ``state.generated``.  This is the
+        gathered driver at batch size one: :meth:`step_prefill_batch` or
+        :meth:`step_batch` over ``[state]``.
 
         Raises:
             RuntimeError: if the sequence is already done.
         """
-        if state.phase == SEQ_DONE:
-            raise RuntimeError(
-                f"sequence {state.seq_id} is done; call finish()"
-            )
-        request = state.request
         if state.phase == SEQ_PREFILL:
-            h_last, last_op = self._prefill(state, request.prompt_tokens)
-            logits, last_op = self._lm_head(state, h_last, [last_op])
-            state.prefill_time_s = last_op.end
-            phase_run = SEQ_PREFILL
-        else:
-            forced = request.forced_tokens
-            step_idx = len(state.generated) - 1
-            step_input = (
-                int(forced[step_idx]) if forced is not None
-                else state.generated[-1]
-            )
-            h_last, last_op = self._decode_step(
-                state, step_input, [state.last_op]
-            )
-            logits, last_op = self._lm_head(state, h_last, [last_op])
-            phase_run = SEQ_DECODE
-        state.last_op = last_op
-        token = int(state.sampler(logits))
-        state.generated.append(token)
-        if len(state.generated) >= request.max_new_tokens:
-            state.phase = SEQ_DONE
-        else:
-            state.phase = SEQ_DECODE
-        if self.events.active:
-            self.events.emit(
-                ENGINE_STEP, last_op.end, engine=self.name,
-                seq_id=state.seq_id, phase=phase_run, token=token,
-                n_generated=len(state.generated), done=state.done,
-            )
-        return StepResult(
-            phase=phase_run,
-            token=token,
-            done=state.done,
-            n_generated=len(state.generated),
-        )
+            return self.step_prefill_batch([state])[0]
+        return self.step_batch([state])[0]
 
     def step_batch(self, states: list, gather_stats=None) -> list:
         """Advance several decode-phase sequences one token each, batched.
@@ -629,9 +593,7 @@ class BaseEngine:
         participant's functional values are evaluated row-by-row through
         the cache-aware stage API, so every sequence's token stream is
         identical to its solo run token for token; only the simulated
-        schedule changes.  With a single state the gathered path
-        degenerates to exactly the ops :meth:`step` schedules, so
-        batch=1 stays bitwise-identical to ``generate()``.
+        schedule changes.
 
         Args:
             states: decode-phase sequence states, in admission order
@@ -651,88 +613,7 @@ class BaseEngine:
             ValueError: for an empty batch or mixed resource clocks.
             RuntimeError: for a state not in the decode phase.
         """
-        if not states:
-            raise ValueError("step_batch needs at least one state")
-        for state in states:
-            if state.phase == SEQ_DONE:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is done; call finish()"
-                )
-            if state.phase != SEQ_DECODE:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is in phase "
-                    f"{state.phase!r}; step_batch serves decode-phase "
-                    "sequences — run prefill via step()"
-                )
-        if len(states) > 1:
-            clocks = {id(state.timeline.clock) for state in states}
-            if len(clocks) != 1:
-                raise ValueError(
-                    "batched stepping requires all states to share one "
-                    "ResourceClock (scheduler-built timelines); private "
-                    "clocks cannot express a gathered kernel"
-                )
-        gens = []
-        for state in states:
-            forced = state.request.forced_tokens
-            step_idx = len(state.generated) - 1
-            step_input = (
-                int(forced[step_idx]) if forced is not None
-                else state.generated[-1]
-            )
-            gens.append(self._decode_blocks(
-                state, step_input, [state.last_op]
-            ))
-        results: list = [None] * len(states)
-        for _round in range(self.model.n_blocks):
-            works = []
-            for i, gen in enumerate(gens):
-                try:
-                    works.append((states[i], gen.send(results[i])))
-                except StopIteration:
-                    raise RuntimeError(
-                        f"decode policy of {self.name!r} yielded fewer "
-                        f"than n_blocks work sets"
-                    ) from None
-            results = self._execute_block_work_gathered(works, gather_stats)
-        finals = []
-        for i, gen in enumerate(gens):
-            try:
-                gen.send(results[i])
-            except StopIteration as stop:
-                finals.append(stop.value)
-            else:
-                raise RuntimeError(
-                    f"decode policy of {self.name!r} yielded more than "
-                    f"n_blocks work sets"
-                )
-        logits_rows, lm_ops = self._lm_head_batch(
-            states, [h for h, _ in finals], [op for _, op in finals],
-            gather_stats,
-        )
-        step_results = []
-        for state, logits, lm_op in zip(states, logits_rows, lm_ops):
-            state.last_op = lm_op
-            token = int(state.sampler(logits))
-            state.generated.append(token)
-            if len(state.generated) >= state.request.max_new_tokens:
-                state.phase = SEQ_DONE
-            else:
-                state.phase = SEQ_DECODE
-            if self.events.active:
-                self.events.emit(
-                    ENGINE_STEP, lm_op.end, engine=self.name,
-                    seq_id=state.seq_id, phase=SEQ_DECODE, token=token,
-                    n_generated=len(state.generated), done=state.done,
-                    batched=len(states),
-                )
-            step_results.append(StepResult(
-                phase=SEQ_DECODE,
-                token=token,
-                done=state.done,
-                n_generated=len(state.generated),
-            ))
-        return step_results
+        return self._step_gathered(states, SEQ_DECODE, gather_stats)
 
     def step_prefill_batch(self, states: list, gather_stats=None) -> list:
         """Advance several prefill-phase sequences one full pass, batched.
@@ -752,8 +633,7 @@ class BaseEngine:
         kernel over all rows.  Functional values are still evaluated
         per-sequence through the cache-aware stage API, so token bytes,
         cache keys, traces, and counters are bitwise identical to solo
-        prefill; a cohort of one degenerates to exactly the ops
-        :meth:`step` schedules (the pricing ratio is identically 1.0).
+        prefill.
 
         Args:
             states: prefill-phase sequence states, in admission order.
@@ -770,99 +650,7 @@ class BaseEngine:
             ValueError: for an empty batch or mixed resource clocks.
             RuntimeError: for a state not in the prefill phase.
         """
-        if not states:
-            raise ValueError("step_prefill_batch needs at least one state")
-        for state in states:
-            if state.phase == SEQ_DONE:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is done; call finish()"
-                )
-            if state.phase != SEQ_PREFILL:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is in phase "
-                    f"{state.phase!r}; step_prefill_batch serves "
-                    "prefill-phase sequences — run decode via "
-                    "step_batch()"
-                )
-        if len(states) > 1:
-            clocks = {id(state.timeline.clock) for state in states}
-            if len(clocks) != 1:
-                raise ValueError(
-                    "batched stepping requires all states to share one "
-                    "ResourceClock (scheduler-built timelines); private "
-                    "clocks cannot express a gathered kernel"
-                )
-        rows_total = sum(
-            int(state.request.prompt_tokens.size) for state in states
-        )
-        gens = []
-        for state in states:
-            state.extra["gather_pricing"] = {"rows_total": rows_total}
-            gens.append(self._prefill_blocks(
-                state, state.request.prompt_tokens
-            ))
-        try:
-            results: list = [None] * len(states)
-            for _round in range(self.model.n_blocks):
-                works = []
-                for i, gen in enumerate(gens):
-                    try:
-                        works.append((states[i], gen.send(results[i])))
-                    except StopIteration:
-                        raise RuntimeError(
-                            f"prefill pass of {self.name!r} yielded "
-                            f"fewer than n_blocks work sets"
-                        ) from None
-                if gather_stats is not None:
-                    gather_stats.attn_kernels += 1
-                    gather_stats.attn_ops += len(states)
-                    gather_stats.gate_kernels += 1
-                    gather_stats.gate_ops += len(states)
-                results = self._execute_block_work_gathered(
-                    works, gather_stats, phase=SEQ_PREFILL
-                )
-            finals = []
-            for i, gen in enumerate(gens):
-                try:
-                    gen.send(results[i])
-                except StopIteration as stop:
-                    finals.append(stop.value)
-                else:
-                    raise RuntimeError(
-                        f"prefill pass of {self.name!r} yielded more "
-                        f"than n_blocks work sets"
-                    )
-            logits_rows, lm_ops = self._lm_head_batch(
-                states, [h for h, _ in finals], [op for _, op in finals],
-                gather_stats, phase=SEQ_PREFILL,
-            )
-        finally:
-            for state in states:
-                state.extra.pop("gather_pricing", None)
-        step_results = []
-        for state, logits, lm_op in zip(states, logits_rows, lm_ops):
-            state.last_op = lm_op
-            state.prefill_time_s = lm_op.end
-            token = int(state.sampler(logits))
-            state.generated.append(token)
-            if len(state.generated) >= state.request.max_new_tokens:
-                state.phase = SEQ_DONE
-            else:
-                state.phase = SEQ_DECODE
-            if self.events.active:
-                self.events.emit(
-                    ENGINE_STEP, lm_op.end, engine=self.name,
-                    seq_id=state.seq_id, phase=SEQ_PREFILL, token=token,
-                    n_generated=len(state.generated), done=state.done,
-                    batched=len(states),
-                )
-            step_results.append(StepResult(
-                phase=SEQ_PREFILL,
-                token=token,
-                done=state.done,
-                n_generated=len(state.generated),
-            ))
-        return step_results
+        return self._step_gathered(states, SEQ_PREFILL, gather_stats)
 
     def finish(self, state: SequenceState) -> GenerationResult:
         """Summarize a finished sequence into a :class:`GenerationResult`.
@@ -1064,8 +852,8 @@ class BaseEngine:
             # Gathered-prefill pricing: scaling each cohort member's solo
             # duration by eff(R)/eff(own rows) makes the cohort's summed
             # attention time equal one batched kernel over all R rows.
-            # A cohort of one has R == n_tokens, so the ratio is exactly
-            # 1.0 and the op stays bitwise identical to a solo step.
+            # Only cohorts of two or more carry it; a lone prefill keeps
+            # its unscaled duration.
             duration *= (
                 self.cost_model.attention_batch_efficiency(
                     self.platform.gpu, int(pricing["rows_total"]),
@@ -1190,18 +978,6 @@ class BaseEngine:
         """Free a device copy (host copy of inference weights stays valid)."""
         ctx.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
-    def _lm_head(self, ctx: _SequenceContext, h_last: np.ndarray,
-                 deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """Final norm + LM head on the GPU for the last token."""
-        logits = self.model.lm_logits(h_last.reshape(1, -1))[0]
-        duration = self.framework_overhead_s + self.cost_model.lm_head_time(
-            self.platform.gpu, 1
-        )
-        op = ctx.timeline.add(
-            GPU, duration, deps=deps, label="lm_head", kind="lm_head",
-        )
-        return logits, op
-
     def _record_activation_counters(self, ctx: _SequenceContext,
                                     block_idx: int,
                                     experts: np.ndarray) -> None:
@@ -1233,78 +1009,12 @@ class BaseEngine:
         """Hook: arrange residency for a decode block's activated experts."""
         return BlockPlan()
 
-    def _execute_experts_at_location(
-        self,
-        ctx: _SequenceContext,
-        block_idx: int,
-        h_att: np.ndarray,
-        experts_per_token: np.ndarray,
-        weights: np.ndarray,
-        deps: list[Op],
-        extra_deps: dict[int, list[Op]] | None = None,
-        force_gpu: set[int] | None = None,
-    ) -> tuple[np.ndarray, list[Op]]:
-        """Run each activated expert where it currently resides.
-
-        Args:
-            h_att: post-attention hidden states ``(n_tokens, d)``.
-            experts_per_token: ``(n_tokens, k)`` selected expert ids.
-            weights: ``(n_tokens, k)`` mixing weights.
-            deps: ops every expert execution must wait for.
-            extra_deps: per-expert additional dependencies (uploads).
-            force_gpu: experts executed on the GPU regardless of the
-                placement map (streamed-through scratch buffers).
-
-        Returns:
-            The block output (after combine) and the expert ops.
-        """
-        extra_deps = extra_deps or {}
-        force_gpu = force_gpu or set()
-        block = self.model.blocks[block_idx]
-        n_tokens, top_k = experts_per_token.shape
-        outs = np.zeros(
-            (n_tokens, top_k, h_att.shape[1]), dtype=np.float32
-        )
-        ops: list[Op] = []
-        for expert in np.unique(experts_per_token):
-            expert = int(expert)
-            mask = experts_per_token == expert
-            token_idx = np.nonzero(mask.any(axis=1))[0]
-            expert_deps = deps + extra_deps.get(expert, [])
-            if expert in force_gpu or ctx.placement.is_on_gpu(block_idx, expert):
-                y, op = self._expert_gpu(
-                    ctx, block_idx, expert, h_att, expert_deps,
-                    token_idx=token_idx,
-                )
-            else:
-                y, op = self._expert_cpu(
-                    ctx, block_idx, expert, h_att, expert_deps,
-                    token_idx=token_idx,
-                )
-            ops.append(op)
-            for row, t in enumerate(token_idx):
-                # A router can only select an expert once per token, but a
-                # hand-built (or degraded) selection may repeat an id; every
-                # matching slot gets the output so its weight is honored.
-                for slot in np.nonzero(mask[t])[0]:
-                    outs[t, int(slot)] = y[row]
-        h_out = block.combine(h_att, outs, weights)
-        return h_out, ops
-
-    def _prefill_standard(self, ctx: _SequenceContext,
-                          prompt_tokens: np.ndarray) -> tuple[np.ndarray, Op]:
-        """Shared prefill under the solo driver (one inline-order pass)."""
-        return self._drive_blocks(
-            ctx, self._prefill_blocks_standard(ctx, prompt_tokens)
-        )
-
     # ---- block-work protocol ------------------------------------------------------
     #
     # Decode policies and the shared prefill pass are generators
-    # yielding one BlockWork per block (see repro.core.batching); a
-    # driver decides how the described expert executions run —
-    # immediately (solo) or gathered with the same-expert calls of
-    # other in-flight sequences (step_batch / step_prefill_batch).
+    # yielding one BlockWork per block (see repro.core.batching); the
+    # gathered driver (_step_gathered) runs them, merging same-expert
+    # calls of all in-flight sequences into shared kernels.
 
     def _prefill_blocks_standard(self, ctx: _SequenceContext,
                                  prompt_tokens: np.ndarray):
@@ -1312,9 +1022,7 @@ class BaseEngine:
 
         Per block: attend -> gate -> prepare -> describe the routed
         expert executions.  Yields exactly ``n_blocks``
-        :class:`BlockWork` items and returns ``(h_last, done_op)``;
-        under the solo driver the op schedule is identical to the
-        historical inline prefill, and under the gathered driver a
+        :class:`BlockWork` items and returns ``(h_last, done_op)``; a
         prompt-length cohort's same-expert calls merge into shared
         kernels.
         """
@@ -1366,13 +1074,13 @@ class BaseEngine:
         extra_deps: dict[int, list[Op]] | None = None,
         force_gpu: set[int] | None = None,
     ):
-        """Describe-and-combine analog of ``_execute_experts_at_location``.
+        """Describe a block's routed expert work, then combine the results.
 
         A generator: yields one :class:`~repro.core.batching.BlockWork`
-        describing each activated expert's execution (same unique-expert
-        order, dependencies, and locations as the inline path), receives
-        the driver's ``(output, op)`` results back, and returns the
-        combined block output plus the expert ops.  Use as
+        with one call per activated expert (ascending expert id, each
+        run where it resides unless forced onto the GPU), receives the
+        driver's ``(output, op)`` results back, and returns the combined
+        block output plus the expert ops.  Use as
         ``h, ops = yield from self._routed_block_work(...)``.
         """
         extra_deps = extra_deps or {}
@@ -1417,9 +1125,7 @@ class BaseEngine:
         """Shared decode policy: true gate, experts run where they live.
 
         A generator yielding exactly ``n_blocks`` :class:`BlockWork`
-        items and returning ``(h_last, done_op)``; the dataflow (and,
-        under the solo driver, the op schedule) is identical to the
-        pre-protocol ``_decode_step_standard``.
+        items and returning ``(h_last, done_op)``.
         """
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
@@ -1448,56 +1154,144 @@ class BaseEngine:
         )
         return h[-1], done
 
-    def _execute_block_work_solo(self, ctx: _SequenceContext,
-                                 work) -> list:
-        """Execute one sequence's block work immediately, in call order.
-
-        Returns ``(output, op)`` per call — the faithful inline
-        execution the pre-protocol engines performed, so a solo-driven
-        sequence schedules exactly the same ops at the same times.
-        """
-        results = []
-        for call in work.calls:
-            if call.location == GPU_LOC:
-                y, op = self._expert_gpu(
-                    ctx, work.block_idx, call.expert, call.h_att,
-                    list(call.deps), token_idx=call.token_idx,
-                )
-            else:
-                y, op = self._expert_cpu(
-                    ctx, work.block_idx, call.expert, call.h_att,
-                    list(call.deps), token_idx=call.token_idx,
-                )
-            results.append((y, op))
-        return results
-
-    def _drive_blocks(self, ctx: _SequenceContext,
-                      gen) -> tuple[np.ndarray, Op]:
-        """Run one block-work generator (decode or prefill) solo."""
-        results = None
-        while True:
-            try:
-                work = gen.send(results)
-            except StopIteration as stop:
-                return stop.value
-            results = self._execute_block_work_solo(ctx, work)
-
     # ---- gathered (cross-sequence) execution --------------------------------------
 
+    def _step_gathered(self, states: list, phase: str,
+                       gather_stats=None) -> list:
+        """Block-locked driver loop shared by both gathered entry points.
+
+        Runs every state's ``_prefill_blocks`` or ``_decode_blocks``
+        generator block-locked, executes each round's work through
+        :meth:`_execute_block_work_gathered`, prices the final LM head
+        as one gathered launch, and appends one sampled token per state.
+        """
+        prefill = phase == SEQ_PREFILL
+        entry = "step_prefill_batch" if prefill else "step_batch"
+        if not states:
+            raise ValueError(f"{entry} needs at least one state")
+        for state in states:
+            if state.phase == SEQ_DONE:
+                raise RuntimeError(
+                    f"sequence {state.seq_id} is done; call finish()"
+                )
+            if state.phase != phase:
+                raise RuntimeError(
+                    f"sequence {state.seq_id} is in phase "
+                    f"{state.phase!r}; {entry} serves {phase}-phase "
+                    "sequences"
+                )
+        cohort = len(states) > 1
+        if cohort and len({id(s.timeline.clock) for s in states}) != 1:
+            raise ValueError(
+                "batched stepping requires all states to share one "
+                "ResourceClock (scheduler-built timelines); private "
+                "clocks cannot express a gathered kernel"
+            )
+        if prefill:
+            if cohort:
+                rows_total = sum(
+                    int(state.request.prompt_tokens.size) for state in states
+                )
+                for state in states:
+                    state.extra["gather_pricing"] = {"rows_total": rows_total}
+            gens = [
+                self._prefill_blocks(state, state.request.prompt_tokens)
+                for state in states
+            ]
+        else:
+            gens = []
+            for state in states:
+                forced = state.request.forced_tokens
+                step_input = (
+                    int(forced[len(state.generated) - 1])
+                    if forced is not None else state.generated[-1]
+                )
+                gens.append(self._decode_blocks(
+                    state, step_input, [state.last_op]
+                ))
+        try:
+            results: list = [None] * len(states)
+            for _round in range(self.model.n_blocks):
+                works = []
+                for state, gen, result in zip(states, gens, results):
+                    try:
+                        works.append((state, gen.send(result)))
+                    except StopIteration:
+                        raise RuntimeError(
+                            f"{phase} policy of {self.name!r} yielded "
+                            "fewer than n_blocks work sets"
+                        ) from None
+                if prefill and gather_stats is not None:
+                    gather_stats.attn_kernels += 1
+                    gather_stats.attn_ops += len(states)
+                    gather_stats.gate_kernels += 1
+                    gather_stats.gate_ops += len(states)
+                results = self._execute_block_work_gathered(
+                    works, gather_stats, phase
+                )
+            finals = []
+            for gen, result in zip(gens, results):
+                try:
+                    gen.send(result)
+                except StopIteration as stop:
+                    finals.append(stop.value)
+                else:
+                    raise RuntimeError(
+                        f"{phase} policy of {self.name!r} yielded more "
+                        "than n_blocks work sets"
+                    )
+            logits_rows, lm_ops = self._lm_head_batch(
+                states, [h for h, _ in finals], [op for _, op in finals],
+                gather_stats, phase,
+            )
+        finally:
+            if prefill and cohort:
+                for state in states:
+                    state.extra.pop("gather_pricing", None)
+        step_results = []
+        for state, logits, lm_op in zip(states, logits_rows, lm_ops):
+            state.last_op = lm_op
+            if prefill:
+                state.prefill_time_s = lm_op.end
+            token = int(state.sampler(logits))
+            state.generated.append(token)
+            if len(state.generated) >= state.request.max_new_tokens:
+                state.phase = SEQ_DONE
+            else:
+                state.phase = SEQ_DECODE
+            if self.events.active:
+                self.events.emit(
+                    ENGINE_STEP, lm_op.end, engine=self.name,
+                    seq_id=state.seq_id, phase=phase, token=token,
+                    n_generated=len(state.generated), done=state.done,
+                    batched=len(states),
+                )
+            step_results.append(StepResult(
+                phase=phase,
+                token=token,
+                done=state.done,
+                n_generated=len(state.generated),
+            ))
+        return step_results
+
     @staticmethod
-    def _group_barrier(works: list, participants: list) -> float:
+    def _group_barrier(members: list) -> float:
         """Latest dependency end among a gathered group's calls (seconds)."""
-        barrier = 0.0
-        for i, j in participants:
-            call = works[i][1].calls[j]
-            if call.deps:
-                barrier = max(barrier, max(d.end for d in call.deps))
-        return barrier
+        return max((dep.end for _, call in members for dep in call.deps),
+                   default=0.0)
 
     def _execute_block_work_gathered(self, works: list,
                                      gather_stats=None,
                                      phase: str = SEQ_DECODE) -> list:
         """Execute one round of block work gathered across sequences.
+
+        Each ``(block, expert, device)`` group's functional values come
+        from :meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`
+        — the gathered kernel's one batched matmul, evaluated segment by
+        segment so each sequence's values (and compute-cache keys) stay
+        bitwise identical to its solo run; the group's time is charged
+        once by :meth:`_gathered_expert_gpu` or
+        :meth:`_gathered_expert_cpu`.
 
         Args:
             works: ``(state, BlockWork)`` per sequence, admission order.
@@ -1509,66 +1303,54 @@ class BaseEngine:
 
         Returns:
             Per sequence, the ``(output, op)`` list aligned with its
-            calls.  Groups execute in deterministic ``(block, expert,
-            location)`` order; within a group, participants keep
-            admission order, so the whole schedule is reproducible.
+            calls.  Groups execute in first-appearance order (sequence
+            by sequence, call by call) and participants keep admission
+            order, so the schedule is reproducible and a single sequence
+            runs its calls exactly in the order its policy described.
         """
         results = [[None] * len(work.calls) for _, work in works]
         groups = group_block_work([work for _, work in works])
-        for key in sorted(groups):
-            block_idx, expert, location = key
-            participants = groups[key]
-            if location == GPU_LOC:
-                self._gathered_expert_gpu(
-                    works, results, block_idx, expert, participants,
-                    gather_stats, phase,
-                )
-            else:
-                self._gathered_expert_cpu(
-                    works, results, block_idx, expert, participants,
-                    gather_stats, phase,
-                )
+        for (block_idx, expert, location), participants in groups.items():
+            members = [(works[i][0], works[i][1].calls[j])
+                       for i, j in participants]
+            ys = self.model.blocks[block_idx].expert_forward_rows(
+                expert, [(call.h_att, call.token_idx) for _, call in members]
+            )
+            rows = sum(y.shape[0] for y in ys)
+            execute = (self._gathered_expert_gpu if location == GPU_LOC
+                       else self._gathered_expert_cpu)
+            ops = execute(members, ys, rows, block_idx, expert)
+            for (i, j), y, op in zip(participants, ys, ops):
+                results[i][j] = (y, op)
+            if gather_stats is not None:
+                self._note_gathered_kernel(gather_stats, len(members), rows,
+                                           phase)
         return results
 
-    def _gathered_rows(self, block_idx: int, expert: int, works: list,
-                       participants: list) -> tuple[list, int]:
-        """Evaluate a gathered group's functional values, row-stable.
+    @staticmethod
+    def _share(total: float, part: int, rows: int) -> float:
+        """A participant's slice ``total * part / rows`` of a group's time.
 
-        Delegates to :meth:`~repro.model.moe_block.MoEBlock.
-        expert_forward_rows` — functionally the single batched matmul of
-        the gathered kernel, evaluated segment-by-segment so each
-        sequence's values (and compute-cache keys) stay bitwise
-        identical to its solo run.  Returns the per-participant outputs
-        and the total row count.
+        A lone participant gets ``total`` itself: ``total * n / n`` can
+        be one ulp off ``total``, and a batch of one must schedule
+        exactly the unsliced durations.
         """
-        block = self.model.blocks[block_idx]
-        segments = []
-        for i, j in participants:
-            call = works[i][1].calls[j]
-            segments.append((call.h_att, call.token_idx))
-        ys = block.expert_forward_rows(expert, segments)
-        rows = sum(y.shape[0] for y in ys)
-        return ys, rows
+        return total if part == rows else total * part / rows
 
-    def _note_gathered_kernel(self, gather_stats, participants: list,
-                              rows: int, phase: str = SEQ_DECODE) -> None:
-        """Account one physical gathered kernel launch."""
-        if gather_stats is None:
-            return
+    @staticmethod
+    def _note_gathered_kernel(gather_stats, size: int, rows: int,
+                              phase: str) -> None:
+        """Account one physical gathered kernel launch of ``size`` calls."""
         gather_stats.expert_kernels += 1
-        gather_stats.expert_ops += len(participants)
+        gather_stats.expert_ops += size
         gather_stats.gathered_rows += rows
-        gather_stats.max_group_size = max(
-            gather_stats.max_group_size, len(participants)
-        )
+        gather_stats.max_group_size = max(gather_stats.max_group_size, size)
         if phase == SEQ_PREFILL:
             gather_stats.prefill_expert_kernels += 1
-            gather_stats.prefill_expert_ops += len(participants)
+            gather_stats.prefill_expert_ops += size
 
-    def _gathered_expert_gpu(self, works: list, results: list,
-                             block_idx: int, expert: int,
-                             participants: list, gather_stats=None,
-                             phase: str = SEQ_DECODE) -> None:
+    def _gathered_expert_gpu(self, members: list, ys: list, rows: int,
+                             block_idx: int, expert: int) -> list:
         """One gathered GPU expert kernel over all participants' rows.
 
         The kernel is charged once at the cost model's batched time
@@ -1576,40 +1358,39 @@ class BaseEngine:
         the group's dependency barrier; each participant records a
         proportional slice in its *own* timeline with its *own*
         dependencies, so per-sequence counter conservation, energy
-        integration, and causality audits all hold unchanged.
+        integration, and causality audits all hold unchanged.  A lone
+        participant needs no barrier: its own dependencies place it.
+        Returns one op per ``(state, call)`` member.
         """
-        ys, rows = self._gathered_rows(block_idx, expert, works,
-                                       participants)
         duration = self.framework_overhead_s + self.cost_model.expert_time(
             self.platform.gpu, rows
         )
-        clock = works[0][0].timeline.clock
-        clock.hold(GPU, self._group_barrier(works, participants))
-        for (i, j), y in zip(participants, ys):
-            state, work = works[i]
-            call = work.calls[j]
-            op = state.timeline.add(
-                GPU, duration * y.shape[0] / rows, deps=list(call.deps),
-                label=f"E{expert}@B{block_idx} gpu", kind="expert_gpu",
+        if len(members) > 1:
+            members[0][0].timeline.clock.hold(
+                GPU, self._group_barrier(members)
             )
+        ops = []
+        for (state, call), y in zip(members, ys):
+            ops.append(state.timeline.add(
+                GPU, self._share(duration, y.shape[0], rows),
+                deps=list(call.deps),
+                label=f"E{expert}@B{block_idx} gpu", kind="expert_gpu",
+            ))
             state.counters.gpu_expert_execs += 1
-            results[i][j] = (y, op)
-        self._note_gathered_kernel(gather_stats, participants, rows, phase)
+        return ops
 
-    def _gathered_expert_cpu(self, works: list, results: list,
-                             block_idx: int, expert: int,
-                             participants: list, gather_stats=None,
-                             phase: str = SEQ_DECODE) -> None:
+    def _gathered_expert_cpu(self, members: list, ys: list, rows: int,
+                             block_idx: int, expert: int) -> list:
         """One gathered CPU expert execution with batched round-trips.
 
-        The three stages of the solo path (activations device-to-host,
+        The three stages of a CPU expert call (activations device-to-host,
         CPU execution, result host-to-device) each run as one batched
         transfer/kernel over every participant's rows, sliced into
         per-sequence ops exactly like the GPU path; each stage's lane is
-        held to the previous stage's group barrier.
+        held to the previous stage's group barrier (unneeded for a lone
+        participant, whose dependencies already chain the stages).
+        Returns each member's final host-to-device op.
         """
-        ys, rows = self._gathered_rows(block_idx, expert, works,
-                                       participants)
         act_total = (
             self.framework_overhead_s
             + self.cost_model.activation_transfer_time(rows)
@@ -1618,34 +1399,37 @@ class BaseEngine:
             self.framework_overhead_s
             + self.cost_model.expert_time(self.platform.cpu, rows)
         )
-        clock = works[0][0].timeline.clock
-        clock.hold(D2H, self._group_barrier(works, participants))
-        d2h_ops = []
-        for (i, j), y in zip(participants, ys):
-            state, work = works[i]
-            call = work.calls[j]
-            d2h_ops.append(state.timeline.add(
-                D2H, act_total * y.shape[0] / rows, deps=list(call.deps),
+        gathered = len(members) > 1
+        clock = members[0][0].timeline.clock
+        if gathered:
+            clock.hold(D2H, self._group_barrier(members))
+        d2h_ops = [
+            state.timeline.add(
+                D2H, self._share(act_total, y.shape[0], rows),
+                deps=list(call.deps),
                 label=f"act>cpu B{block_idx}", kind="act_d2h",
-            ))
-        clock.hold(CPU, max(op.end for op in d2h_ops))
+            )
+            for (state, call), y in zip(members, ys)
+        ]
+        if gathered:
+            clock.hold(CPU, max(op.end for op in d2h_ops))
         exec_ops = []
-        for (i, j), y, d2h in zip(participants, ys, d2h_ops):
-            state, _ = works[i]
+        for (state, _), y, d2h in zip(members, ys, d2h_ops):
             exec_ops.append(state.timeline.add(
-                CPU, exec_total * y.shape[0] / rows, deps=[d2h],
+                CPU, self._share(exec_total, y.shape[0], rows), deps=[d2h],
                 label=f"E{expert}@B{block_idx} cpu", kind="expert_cpu",
             ))
             state.counters.cpu_expert_execs += 1
-        clock.hold(H2D, max(op.end for op in exec_ops))
-        for (i, j), y, exec_op in zip(participants, ys, exec_ops):
-            state, _ = works[i]
-            h2d = state.timeline.add(
-                H2D, act_total * y.shape[0] / rows, deps=[exec_op],
+        if gathered:
+            clock.hold(H2D, max(op.end for op in exec_ops))
+        return [
+            state.timeline.add(
+                H2D, self._share(act_total, y.shape[0], rows),
+                deps=[exec_op],
                 label=f"act>gpu B{block_idx}", kind="act_h2d",
             )
-            results[i][j] = (y, h2d)
-        self._note_gathered_kernel(gather_stats, participants, rows, phase)
+            for (state, _), y, exec_op in zip(members, ys, exec_ops)
+        ]
 
     def _lm_head_batch(self, states: list, h_lasts: list, done_ops: list,
                        gather_stats=None,
@@ -1661,8 +1445,10 @@ class BaseEngine:
         duration = self.framework_overhead_s + self.cost_model.lm_head_time(
             self.platform.gpu, n
         )
-        clock = states[0].timeline.clock
-        clock.hold(GPU, max(op.end for op in done_ops))
+        if n > 1:
+            states[0].timeline.clock.hold(
+                GPU, max(op.end for op in done_ops)
+            )
         ops = []
         for state, done in zip(states, done_ops):
             ops.append(state.timeline.add(
@@ -1677,30 +1463,17 @@ class BaseEngine:
                 gather_stats.prefill_lm_head_ops += n
         return logits_rows, ops
 
-    def _decode_step_standard(self, ctx: _SequenceContext, token: int,
-                              deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """Shared decode step: the standard policy under the solo driver."""
-        return self._drive_blocks(
-            ctx, self._decode_blocks_standard(ctx, token, deps)
-        )
-
     # Default implementations: engines that follow the standard dataflow
     # simply inherit these.
-
-    def _prefill(self, ctx: _SequenceContext,
-                 prompt_tokens: np.ndarray) -> tuple[np.ndarray, Op]:
-        return self._drive_blocks(
-            ctx, self._prefill_blocks(ctx, prompt_tokens)
-        )
 
     def _prefill_blocks(self, ctx: _SequenceContext,
                         prompt_tokens: np.ndarray):
         """Policy hook: the prefill block-work generator for one prompt.
 
-        An engine with a custom prefill policy overrides *this* instead
-        of ``_prefill``, so one policy serves both the solo and the
-        gathered driver.  Must yield exactly ``n_blocks``
-        :class:`BlockWork` items and return ``(h_last, done_op)``.
+        An engine with a custom prefill policy overrides *this*; the
+        gathered driver runs it for one sequence or a cohort alike.
+        Must yield exactly ``n_blocks`` :class:`BlockWork` items and
+        return ``(h_last, done_op)``.
         """
         return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
 
@@ -1709,16 +1482,9 @@ class BaseEngine:
         """Policy hook: the decode block-work generator for one token.
 
         Engines with a custom decode policy (DAOP's predictive
-        pre-calculation, Pre-gated's prefetch) override *this* instead
-        of ``_decode_step``, so one policy serves both the solo and the
-        gathered driver.  Must yield exactly ``n_blocks``
-        :class:`BlockWork` items and return ``(h_last, done_op)``.
+        pre-calculation, Pre-gated's prefetch) override *this*; the
+        gathered driver runs it for one sequence or a batch alike.
+        Must yield exactly ``n_blocks`` :class:`BlockWork` items and
+        return ``(h_last, done_op)``.
         """
         return (yield from self._decode_blocks_standard(ctx, token, deps))
-
-    def _decode_step(self, ctx: _SequenceContext, token: int,
-                     deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """One decode token under the solo driver (substrate; not a hook)."""
-        return self._drive_blocks(
-            ctx, self._decode_blocks(ctx, token, deps)
-        )

@@ -120,7 +120,6 @@ class EngineContractGuard:
         if self._originals:
             return self
         self._wrap("generate", self._guarded_generate)
-        self._wrap("_prefill", self._guarded_prefill)
         self._wrap("_upload_expert", self._guarded_upload)
         return self
 
@@ -165,13 +164,6 @@ class EngineContractGuard:
                 + self.slot_slack,
             )
         return result
-
-    def _guarded_prefill(self, original, *args, **kwargs):
-        self.phase = "prefill"
-        try:
-            return original(*args, **kwargs)
-        finally:
-            self.phase = "decode"
 
     def _guarded_upload(self, original, *args, **kwargs):
         # The sequence state carries its own phase, which stays correct

@@ -54,20 +54,18 @@ _MIGRATION_NAMES = frozenset({
 #: BaseEngine substrate primitives baselines may use but never redefine.
 #: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
 #: they are the *policy* hooks of the block-work protocol (engines
-#: describe routed expert work there), while the drivers that execute
-#: the described work — solo (``_decode_step``, ``_prefill``) and
-#: gathered (``step_batch``, ``step_prefill_batch``) — are substrate.
+#: describe routed expert work there), while the one driver that
+#: executes the described work (``step``, ``step_batch``,
+#: ``step_prefill_batch`` and their shared ``_step_gathered`` loop) is
+#: substrate.
 _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
     "finish", "checkpoint_sequence", "restore_sequence",
     "_attention", "_gate", "_expert_gpu", "_expert_cpu",
-    "_upload_expert", "_drop_expert", "_lm_head", "_lm_head_batch",
-    "_execute_experts_at_location", "_record_activation_counters",
-    "_prefill_standard", "_prefill_blocks_standard",
-    "_decode_step", "_decode_step_standard",
-    "_decode_blocks_standard", "_routed_block_work",
-    "_drive_blocks", "_execute_block_work_solo",
-    "_execute_block_work_gathered", "_group_barrier", "_gathered_rows",
+    "_upload_expert", "_drop_expert", "_lm_head_batch",
+    "_record_activation_counters", "_prefill_blocks_standard",
+    "_decode_blocks_standard", "_routed_block_work", "_step_gathered",
+    "_execute_block_work_gathered", "_group_barrier", "_share",
     "_note_gathered_kernel", "_gathered_expert_gpu",
     "_gathered_expert_cpu", "_device_spec",
 })

@@ -301,7 +301,7 @@ class MoEBlock:
         """Reference (exact) forward pass through the whole block.
 
         Experts dispatch grouped per expert id — the same order and
-        batching as the engines' ``_execute_experts_at_location`` and
+        batching as the engines' ``_routed_block_work`` and
         :meth:`MoETransformer.forward_exact` — so the reference path
         produces (and, with a cache attached, shares) the exact tensors
         the scheduled paths do.

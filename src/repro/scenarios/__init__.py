@@ -33,6 +33,7 @@ from repro.scenarios.report import (
     ScenarioRequestRecord,
     classify_slo,
     diff_reports,
+    percentile_or_zero,
 )
 from repro.scenarios.runner import ScenarioRunner, ScenarioSession
 from repro.scenarios.spec import (
@@ -61,6 +62,7 @@ __all__ = [
     "ScenarioRequestRecord",
     "classify_slo",
     "diff_reports",
+    "percentile_or_zero",
     "ScenarioRunner",
     "ScenarioSession",
     "ARRIVAL_KINDS",

@@ -15,8 +15,8 @@ module provides the time-varying patterns real serving fleets face:
 - :func:`onoff_arrivals` — a Markov-modulated on/off process whose
   bursts have geometric sojourn times (upstream batch jobs toggling).
 
-These historically lived in ``repro.serving.arrivals``; that module
-remains as a compatibility re-export.
+``repro.serving`` re-exports the classic trio, so
+``from repro.serving import poisson_arrivals`` keeps working.
 """
 
 from __future__ import annotations

@@ -20,8 +20,14 @@ import numpy as np
 from repro.workloads.requests import slo_targets
 
 
-def _percentile(values, q: float) -> float:
-    """``np.percentile`` returning 0.0 on empty input (renderable groups)."""
+def percentile_or_zero(values, q: float) -> float:
+    """``np.percentile`` that returns 0.0 for an empty value list.
+
+    ``np.percentile`` raises on empty input; serving, cluster and
+    scenario reports regularly aggregate zero requests (overloaded
+    replicas that shed everything, empty tenant groups), and a 0.0
+    keeps those reports renderable.
+    """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         return 0.0
@@ -137,10 +143,10 @@ class ScenarioReport:
             "generated_tokens": generated,
             "throughput_tokens_per_s": (generated / span) if span > 0
             else 0.0,
-            "ttft_p50_s": _percentile([r.ttft_s for r in served], 50),
-            "ttft_p95_s": _percentile([r.ttft_s for r in served], 95),
-            "tpot_p50_s": _percentile([r.tpot_s for r in served], 50),
-            "latency_p95_s": _percentile(
+            "ttft_p50_s": percentile_or_zero([r.ttft_s for r in served], 50),
+            "ttft_p95_s": percentile_or_zero([r.ttft_s for r in served], 95),
+            "tpot_p50_s": percentile_or_zero([r.tpot_s for r in served], 50),
+            "latency_p95_s": percentile_or_zero(
                 [r.latency_s for r in served], 95
             ),
             "mean_queue_delay_s": (
@@ -179,9 +185,9 @@ class ScenarioReport:
             "mode": self.mode,
             "seed": self.seed,
             # Backend execution knobs are part of the report identity:
-            # two runs that schedule differently (gathered vs
-            # interleaved kernels, different admission width) must never
-            # alias to one digest even when their metrics happen to tie.
+            # two runs that schedule differently (different execution
+            # mode or admission width) must never alias to one digest
+            # even when their metrics happen to tie.
             "backend": {
                 "mode": self.backend_mode,
                 "concurrency": self.concurrency,

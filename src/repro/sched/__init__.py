@@ -2,7 +2,6 @@
 
 from repro.sched.scheduler import (
     GATHERED,
-    INTERLEAVED,
     BatchReport,
     ContinuousBatchScheduler,
     SequenceRecord,
@@ -12,6 +11,5 @@ __all__ = [
     "BatchReport",
     "ContinuousBatchScheduler",
     "GATHERED",
-    "INTERLEAVED",
     "SequenceRecord",
 ]

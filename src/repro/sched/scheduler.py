@@ -58,19 +58,29 @@ from repro.hardware.timeline import (
 from repro.model.serialization import canonical_digest
 
 #: Version of the scheduler-session checkpoint layout; restore rejects
-#: other versions instead of misreading them.  Version 2 added the
-#: ``gathered_prefill`` capability flag to the body.
-SCHED_CHECKPOINT_VERSION = 2
+#: other versions instead of misreading them.  Version 3 removed the
+#: prefill-gathering flag that version 2 carried in the body, together
+#: with the interleaved execution mode.
+SCHED_CHECKPOINT_VERSION = 3
 
-#: Execution modes for a batch round.  ``GATHERED`` (the default) steps
-#: every decode-phase sequence through one
-#: :meth:`~repro.core.engine.BaseEngine.step_batch` call, merging
-#: same-expert tokens across sequences into shared kernels;
-#: ``INTERLEAVED`` is the legacy round-robin of independent
-#: :meth:`~repro.core.engine.BaseEngine.step` calls.  Both produce the
-#: same token streams; only the simulated schedule differs.
+#: The scheduler's one execution mode: every round steps all
+#: decode-phase sequences through one
+#: :meth:`~repro.core.engine.BaseEngine.step_batch` call and each
+#: prompt-length cohort through one
+#: :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call,
+#: merging same-expert tokens across sequences into shared kernels.
+#: Reports and checkpoints still record it by name.
 GATHERED = "gathered"
-INTERLEAVED = "interleaved"
+
+
+def check_mode(mode: str) -> None:
+    """Reject any execution mode but :data:`GATHERED`.
+
+    Raises:
+        ValueError: for any other value.
+    """
+    if mode != GATHERED:
+        raise ValueError(f"mode must be {GATHERED!r}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ class BatchReport:
     max_batch: int
     records: list = field(default_factory=list)
     mode: str = GATHERED
-    gather: GatherStats | None = None
+    gather: GatherStats = field(default_factory=GatherStats)
 
     @property
     def n_sequences(self) -> int:
@@ -234,13 +244,10 @@ class BatchReport:
     def n_expert_kernels(self) -> int:
         """Physical expert kernel launches the schedule actually paid for.
 
-        Equals :attr:`n_expert_ops` under interleaved execution; under
-        gathered execution, every logical op that joined a shared
-        cross-sequence launch is replaced by its group's single kernel
-        (prefill and any solo-stepped ops keep one kernel per op).
+        Every logical op that joined a shared cross-sequence launch is
+        replaced by its group's single kernel; ops of a sequence stepped
+        alone keep one kernel per op.
         """
-        if self.gather is None:
-            return self.n_expert_ops
         return (self.n_expert_ops - self.gather.expert_ops
                 + self.gather.expert_kernels)
 
@@ -270,9 +277,9 @@ class BatchReport:
 
         Splits the gather accumulator so the two regimes' amortization
         is separable in reports; all-zero counts with unit amortization
-        when the run gathered nothing (interleaved mode).
+        when the run gathered nothing (``max_batch=1``).
         """
-        gather = self.gather if self.gather is not None else GatherStats()
+        gather = self.gather
         return {
             "prefill": {
                 "expert_ops": gather.prefill_expert_ops,
@@ -306,10 +313,7 @@ class BatchReport:
             "mode": self.mode,
             "n_expert_ops": self.n_expert_ops,
             "n_expert_kernels": self.n_expert_kernels,
-            "expert_amortization": (
-                self.gather.expert_amortization
-                if self.gather is not None else 1.0
-            ),
+            "expert_amortization": self.gather.expert_amortization,
             "phases": self.phase_gather_stats(),
             "n_sequences": self.n_sequences,
             "makespan_s": self.makespan_s,
@@ -384,40 +388,17 @@ class ContinuousBatchScheduler:
         engine: any registered engine; its policy hooks run per sequence
             on per-sequence state, so baselines and DAOP batch alike.
         max_batch: maximum concurrently resident sequences (>= 1).
-        mode: :data:`GATHERED` (default) merges same-expert decode work
-            across sequences into shared kernels via
-            :meth:`~repro.core.engine.BaseEngine.step_batch`;
-            :data:`INTERLEAVED` round-robins independent ``step`` calls.
-        gathered_prefill: whether prefill-phase sequences in the same
-            prompt-length bucket (:mod:`repro.core.bucketing`) advance
-            together through
-            :meth:`~repro.core.engine.BaseEngine.step_prefill_batch`.
-            Defaults to on in :data:`GATHERED` mode; forbidden in
-            :data:`INTERLEAVED` mode (which by definition runs
-            independent steps).
+        mode: the execution mode; :data:`GATHERED` is the only one.
     """
 
     def __init__(self, engine: BaseEngine, max_batch: int = 4,
-                 mode: str = GATHERED,
-                 gathered_prefill: bool | None = None) -> None:
+                 mode: str = GATHERED) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
-        if gathered_prefill is None:
-            gathered_prefill = mode == GATHERED
-        if gathered_prefill and mode == INTERLEAVED:
-            raise ValueError(
-                "gathered_prefill requires gathered mode; interleaved "
-                "rounds run independent step() calls by definition"
-            )
+        check_mode(mode)
         self.engine = engine
         self.max_batch = max_batch
         self.mode = mode
-        self.gathered_prefill = bool(gathered_prefill)
         #: Instance-scoped event bus (admission / retirement events).
         self.events = EventBus()
 
@@ -452,7 +433,6 @@ class ContinuousBatchScheduler:
             engine=self.engine.name,
             max_batch=self.max_batch,
             mode=self.mode,
-            gather=GatherStats() if self.mode == GATHERED else None,
         )
         return BatchSession(
             queue=queue, clock=ResourceClock(), active=[], report=report,
@@ -528,7 +508,6 @@ class ContinuousBatchScheduler:
             "engine": self.engine.name,
             "max_batch": self.max_batch,
             "mode": self.mode,
-            "gathered_prefill": self.gathered_prefill,
             "clock": session.clock.to_state_dict(),
             "queue": [
                 {"request": request.to_state_dict(), "arrival_s": arrival}
@@ -547,10 +526,7 @@ class ContinuousBatchScheduler:
                 record.to_state_dict()
                 for record in session.report.records
             ],
-            "gather": (
-                None if session.report.gather is None
-                else session.report.gather.to_state_dict()
-            ),
+            "gather": session.report.gather.to_state_dict(),
         }
         body["digest"] = canonical_digest(body)
         return body
@@ -572,8 +548,7 @@ class ContinuousBatchScheduler:
         body = {
             key: payload[key]
             for key in ("version", "engine", "max_batch", "mode",
-                        "gathered_prefill", "clock", "queue", "active",
-                        "records", "gather")
+                        "clock", "queue", "active", "records", "gather")
         }
         digest = canonical_digest(body)
         if digest != payload.get("digest"):
@@ -588,16 +563,12 @@ class ContinuousBatchScheduler:
                 f"this scheduler drives {self.engine.name!r}"
             )
         if (payload["max_batch"] != self.max_batch
-                or payload["mode"] != self.mode
-                or payload["gathered_prefill"] != self.gathered_prefill):
+                or payload["mode"] != self.mode):
             raise ValueError(
                 "scheduler configuration mismatch: checkpoint was taken "
                 f"with max_batch={payload['max_batch']} "
-                f"mode={payload['mode']!r} "
-                f"gathered_prefill={payload['gathered_prefill']}, this "
-                f"scheduler runs max_batch={self.max_batch} "
-                f"mode={self.mode!r} "
-                f"gathered_prefill={self.gathered_prefill}"
+                f"mode={payload['mode']!r}, this scheduler runs "
+                f"max_batch={self.max_batch} mode={self.mode!r}"
             )
         clock = ResourceClock.from_state_dict(payload["clock"])
         queue = deque(
@@ -622,10 +593,7 @@ class ContinuousBatchScheduler:
                 SequenceRecord.from_state_dict(record)
                 for record in payload["records"]
             ],
-            gather=(
-                None if payload["gather"] is None
-                else GatherStats.from_state_dict(payload["gather"])
-            ),
+            gather=GatherStats.from_state_dict(payload["gather"]),
         )
         return BatchSession(
             queue=queue, clock=clock, active=active, report=report,
@@ -636,21 +604,14 @@ class ContinuousBatchScheduler:
     def _step_round(self, active: list, report: BatchReport) -> None:
         """Advance every resident sequence one unit of work.
 
-        Interleaved mode round-robins independent ``step`` calls in
-        admission order.  Gathered mode groups prefill-phase sequences
-        into prompt-length buckets — cohorts of two or more advance
-        together through one
-        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call
-        (solo, admission-ordered ``step`` calls when
-        ``gathered_prefill`` is off or a bucket holds one sequence) —
-        and advances all decode-phase sequences together through one
-        :meth:`~repro.core.engine.BaseEngine.step_batch` call.  Either
-        way each active sequence steps exactly once per round.
+        Prefill-phase sequences group into prompt-length buckets —
+        cohorts of two or more advance together through one
+        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call,
+        a bucket of one through ``step`` — and all decode-phase
+        sequences advance together through one
+        :meth:`~repro.core.engine.BaseEngine.step_batch` call, so each
+        active sequence steps exactly once per round.
         """
-        if self.mode == INTERLEAVED:
-            for entry in active:
-                self.engine.step(entry.state)
-            return
         prefill_states = []
         decode_states = []
         for entry in active:
@@ -664,17 +625,13 @@ class ContinuousBatchScheduler:
             self.engine.step_batch(decode_states, gather_stats=report.gather)
 
     def _step_prefills(self, states: list, report: BatchReport) -> None:
-        """Run one round's prefill passes, bucketed when enabled.
+        """Run one round's prefill passes, bucketed by prompt length.
 
         Buckets follow first-appearance (admission) order and members
         keep admission order within a bucket, so the schedule stays
-        deterministic; singleton buckets take the solo path, which is
-        bitwise identical to ``step()`` by construction.
+        deterministic; a singleton bucket runs through ``step()`` and
+        so stays out of the gather statistics.
         """
-        if not self.gathered_prefill:
-            for state in states:
-                self.engine.step(state)
-            return
         lengths = [int(s.request.prompt_tokens.size) for s in states]
         for bucket in bucket_prompt_lengths(lengths):
             cohort = [states[i] for i in bucket.indices]

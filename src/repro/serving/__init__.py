@@ -1,6 +1,7 @@
 """Request-level serving simulation (queueing on top of the engines)."""
 
-from repro.serving.arrivals import (
+from repro.scenarios import percentile_or_zero
+from repro.scenarios.arrivals import (
     bursty_arrivals,
     poisson_arrivals,
     uniform_arrivals,
@@ -20,7 +21,6 @@ from repro.serving.simulator import (
     ServingReport,
     ServingSession,
     ServingSimulator,
-    percentile_or_zero,
 )
 
 __all__ = [

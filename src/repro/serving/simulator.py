@@ -23,11 +23,12 @@ import numpy as np
 from repro.core.engine import BaseEngine, SequenceRequest
 from repro.events import CHECKPOINT_RESTORE, CHECKPOINT_SAVE, EventBus
 from repro.hardware.timeline import GPU
+from repro.scenarios import percentile_or_zero
 from repro.sched.scheduler import (
     GATHERED,
-    INTERLEAVED,
     BatchSession,
     ContinuousBatchScheduler,
+    check_mode,
 )
 from repro.serving.checkpoint import (
     SERVING_KIND,
@@ -36,19 +37,6 @@ from repro.serving.checkpoint import (
 )
 from repro.workloads.generator import SequenceGenerator
 from repro.workloads.requests import RequestSpec
-
-
-def percentile_or_zero(values, q: float) -> float:
-    """``np.percentile`` that returns 0.0 for an empty value list.
-
-    ``np.percentile`` raises on empty input; serving reports regularly
-    aggregate zero requests (overloaded replicas that shed everything,
-    filtered views), and a 0.0 keeps those reports renderable.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
 
 
 @dataclass(frozen=True)
@@ -95,9 +83,6 @@ class ServingReport:
     engine: str
     requests: list[ServedRequest] = field(default_factory=list)
 
-    def _percentile(self, values, q: float) -> float:
-        return percentile_or_zero(values, q)
-
     @property
     def n_requests(self) -> int:
         """Number of served requests."""
@@ -122,15 +107,15 @@ class ServingReport:
 
     def ttft_percentile(self, q: float) -> float:
         """TTFT percentile in seconds."""
-        return self._percentile([r.ttft_s for r in self.requests], q)
+        return percentile_or_zero([r.ttft_s for r in self.requests], q)
 
     def latency_percentile(self, q: float) -> float:
         """End-to-end latency percentile in seconds."""
-        return self._percentile([r.latency_s for r in self.requests], q)
+        return percentile_or_zero([r.latency_s for r in self.requests], q)
 
     def tpot_percentile(self, q: float) -> float:
         """Time-per-output-token percentile in seconds."""
-        return self._percentile([r.tpot_s for r in self.requests], q)
+        return percentile_or_zero([r.tpot_s for r in self.requests], q)
 
     @property
     def mean_queue_delay_s(self) -> float:
@@ -171,11 +156,10 @@ class ServingSimulator:
             default of 1 reproduces the paper's batch-size-one FIFO
             regime; larger values interleave requests on the engine's
             step machine.
-        mode: scheduler execution mode —
-            :data:`~repro.sched.scheduler.GATHERED` (default) merges
-            same-expert decode work across resident sequences into
-            shared kernels; :data:`~repro.sched.scheduler.INTERLEAVED`
-            round-robins independent steps.
+        mode: scheduler execution mode; only
+            :data:`~repro.sched.scheduler.GATHERED`, which merges
+            same-expert work across resident sequences into shared
+            kernels.
     """
 
     def __init__(self, engine: BaseEngine,
@@ -183,11 +167,7 @@ class ServingSimulator:
                  concurrency: int = 1, mode: str = GATHERED) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
+        check_mode(mode)
         self.engine = engine
         self.generator = generator
         self.concurrency = concurrency

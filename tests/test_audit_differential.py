@@ -270,3 +270,42 @@ def test_step_parity_audit_with_shared_cache(tiny_bundle, platform,
     assert report.ok, report.format()
     assert cache.hits > 0
     assert tiny_bundle.model.compute_cache is None
+
+
+# ---- step-parity comparison ----------------------------------------------------
+
+
+def _expert_pair_result(first: int, second: int):
+    """A fake result whose timeline runs two same-duration GPU experts."""
+    from repro.core.engine import EngineCounters
+    from repro.hardware.timeline import GPU, Timeline
+
+    timeline = Timeline()
+    for expert in (first, second):
+        timeline.add(GPU, 1e-3, label=f"E{expert}@B0 gpu",
+                     kind="expert_gpu")
+    stats = SimpleNamespace(counters=EngineCounters(gpu_expert_execs=2),
+                            prefill_time_s=0.0,
+                            total_time_s=timeline.makespan)
+    return SimpleNamespace(tokens=np.array([1, 2]), stats=stats,
+                           timeline=timeline)
+
+
+def test_step_parity_flags_swapped_expert_labels():
+    """Same makespan, op count, tokens and counters — only the order of
+    two same-duration expert ops differs, which must still be flagged."""
+    from repro.audit.differential import StepParityComparison, _check_parity
+
+    reference = _expert_pair_result(0, 2)
+    swapped = _expert_pair_result(2, 0)
+    assert swapped.timeline.makespan == reference.timeline.makespan
+
+    comparison = StepParityComparison(engine="fake", seed=0)
+    _check_parity(comparison, "start/step/finish", reference, reference)
+    assert comparison.ok
+
+    _check_parity(comparison, "start/step/finish", reference, swapped)
+    assert comparison.problems == [
+        "start/step/finish: per-op timeline differs from generate() at "
+        "op 0 (2 vs 2 ops)"
+    ]

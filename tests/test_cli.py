@@ -68,19 +68,25 @@ def test_bench_batch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bench-batch" in out and "overlap" in out
     payload = json.loads(report_path.read_text())
-    # Two batch sizes x two modes (interleaved + gathered by default).
-    assert len(payload["runs"]) == 4
-    by_key = {(r["max_batch"], r["mode"]): r for r in payload["runs"]}
-    batched = by_key[(3, "gathered")]
+    # One gathered run per batch size.
+    assert len(payload["runs"]) == 2
+    by_batch = {r["max_batch"]: r for r in payload["runs"]}
+    assert {r["mode"] for r in payload["runs"]} == {"gathered"}
+    batched = by_batch[3]
     # Acceptance: batched makespan undercuts the summed service spans.
     assert batched["makespan_s"] < batched["sum_solo_makespans_s"]
     assert batched["overlap_ratio"] > 0
-    # Gathered execution amortizes expert kernels across sequences.
-    interleaved = by_key[(3, "interleaved")]
+    # Gathered execution amortizes expert kernels across sequences;
+    # a lone sequence has nothing to share a kernel with.
+    solo = by_batch[1]
     assert batched["n_expert_kernels"] < batched["n_expert_ops"]
-    assert interleaved["n_expert_kernels"] == interleaved["n_expert_ops"]
+    assert solo["n_expert_kernels"] == solo["n_expert_ops"]
     comparison = {(c["engine"], c["max_batch"]): c
                   for c in payload["comparison"]}
+    assert comparison[("daop", 1)]["gathered_speedup"] == 1.0
+    assert comparison[("daop", 3)]["batch1_tokens_per_s"] == (
+        solo["throughput_tokens_per_s"]
+    )
     assert comparison[("daop", 3)]["gathered_speedup"] > 1.0
 
 

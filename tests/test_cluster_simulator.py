@@ -236,6 +236,15 @@ class TestRunRequests:
         with pytest.raises(ValueError):
             simulator.run(uniform_arrivals(1.0, 2), 8, 4)
 
+    def test_only_gathered_mode_accepted(self, tiny_bundle, platform,
+                                         tiny_calibration):
+        engines = build_fleet(tiny_bundle, platform, tiny_calibration)
+        policy = build_policy("round-robin")
+        simulator = ClusterSimulator(engines, None, policy, mode="gathered")
+        assert simulator.mode == "gathered"
+        with pytest.raises(ValueError):
+            ClusterSimulator(engines, None, policy, mode="interleaved")
+
 
 class TestCacheAffinityWins:
     """The subsystem's headline property (ISSUE acceptance criterion)."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_engine
+from repro.audit.resume import timeline_signature
 from repro.core.batching import (
     CPU_LOC,
     GPU_LOC,
@@ -14,7 +15,7 @@ from repro.core.batching import (
     GatherStats,
     group_block_work,
 )
-from repro.core.engine import SequenceRequest
+from repro.core.engine import BaseEngine, SequenceRequest
 from repro.hardware.timeline import ResourceClock, Timeline
 
 
@@ -121,7 +122,7 @@ def test_step_batch_rejects_mixed_clocks(daop, tiny_bundle):
 
 
 def test_step_batch_single_state_matches_step(daop, tiny_bundle):
-    """n=1 gathered execution degenerates to the solo schedule bitwise."""
+    """``step()`` on a decode-phase state is ``step_batch([state])``."""
     prompt = _prompt(tiny_bundle)
     solo = daop.start(SequenceRequest(prompt_tokens=prompt,
                                       max_new_tokens=4))
@@ -134,10 +135,8 @@ def test_step_batch_single_state_matches_step(daop, tiny_bundle):
         daop.step_batch([batched])
     assert batched.done
     assert solo.generated == batched.generated
-    assert len(solo.timeline.ops) == len(batched.timeline.ops)
-    for got, want in zip(batched.timeline.ops, solo.timeline.ops):
-        assert (got.resource, got.kind, got.start, got.end) == \
-            (want.resource, want.kind, want.start, want.end)
+    assert timeline_signature(batched.timeline) == \
+        timeline_signature(solo.timeline)
 
 
 def test_step_batch_distinct_sequences_share_kernels(
@@ -203,7 +202,7 @@ def test_step_prefill_batch_rejects_mixed_clocks(daop, tiny_bundle):
 
 
 def test_step_prefill_batch_single_state_matches_step(daop, tiny_bundle):
-    """n=1 gathered prefill degenerates to the solo schedule bitwise."""
+    """``step()`` on a prefill-phase state is ``step_prefill_batch``."""
     prompt = _prompt(tiny_bundle)
     solo = daop.start(SequenceRequest(prompt_tokens=prompt,
                                       max_new_tokens=4))
@@ -212,10 +211,39 @@ def test_step_prefill_batch_single_state_matches_step(daop, tiny_bundle):
     daop.step(solo)
     daop.step_prefill_batch([batched])
     assert solo.generated == batched.generated
-    assert len(solo.timeline.ops) == len(batched.timeline.ops)
-    for got, want in zip(batched.timeline.ops, solo.timeline.ops):
-        assert (got.resource, got.kind, got.start, got.end) == \
-            (want.resource, want.kind, want.start, want.end)
+    assert timeline_signature(batched.timeline) == \
+        timeline_signature(solo.timeline)
+    # A lone prefill carries no cohort pricing.
+    assert "gather_pricing" not in batched.extra
+
+
+def test_gathered_executor_keeps_first_appearance_order(daop, tiny_bundle):
+    """Groups run in the order the policy described its calls, not in
+    sorted ``(block, expert, device)`` order."""
+    state = daop.start(SequenceRequest(
+        prompt_tokens=_prompt(tiny_bundle), max_new_tokens=2,
+    ))
+    d_model = tiny_bundle.model.profile.sim.d_model
+    h_att = np.ones((1, d_model), dtype=np.float32)
+    work = BlockWork(block_idx=0, calls=tuple(
+        ExpertCall(expert=expert, location=location, h_att=h_att, deps=())
+        for expert, location in ((3, GPU_LOC), (0, GPU_LOC), (1, CPU_LOC))
+    ))
+    results = daop._execute_block_work_gathered([(state, work)])
+    labels = [op.label for _, op in results[0]]
+    assert labels == ["E3@B0 gpu", "E0@B0 gpu", "act>gpu B0"]
+    assert [op.label for op in state.timeline.ops] == [
+        "E3@B0 gpu", "E0@B0 gpu", "act>cpu B0", "E1@B0 cpu", "act>gpu B0",
+    ]
+
+
+def test_lone_participant_gets_the_unsliced_duration():
+    """``total * n / n`` can miss ``total`` by an ulp; a group of one
+    must be charged ``total`` itself."""
+    total, rows = 0.1, 3
+    assert total * rows / rows != total
+    assert BaseEngine._share(total, rows, rows) == total
+    assert BaseEngine._share(total, 1, rows) == total * 1 / rows
 
 
 def test_step_prefill_batch_cohort_counts_and_token_parity(

@@ -138,10 +138,10 @@ class TestSimCheckpointEnvelope:
 
 class TestServingResumeParity:
     def _simulator(self, tiny_bundle, platform, tiny_calibration,
-                   engine="daop", concurrency=2, mode="gathered"):
+                   engine="daop", concurrency=2):
         built = build_engine(engine, tiny_bundle, platform, 0.5,
                              tiny_calibration)
-        return ServingSimulator(built, concurrency=concurrency, mode=mode)
+        return ServingSimulator(built, concurrency=concurrency)
 
     @pytest.mark.parametrize("cut", [1, 3, 6])
     def test_resume_matches_uninterrupted_run(
@@ -177,12 +177,6 @@ class TestServingResumeParity:
         with pytest.raises(CheckpointError,
                            match="serving configuration mismatch"):
             narrower.restore(checkpoint)
-        other_mode = self._simulator(tiny_bundle, platform,
-                                     tiny_calibration, concurrency=2,
-                                     mode="interleaved")
-        with pytest.raises(CheckpointError,
-                           match="serving configuration mismatch"):
-            other_mode.restore(checkpoint)
 
     def test_foreign_engine_rejected(self, tiny_bundle, platform,
                                      tiny_calibration):

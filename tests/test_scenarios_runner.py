@@ -193,11 +193,10 @@ class TestLifecycle:
     SPEC = "mixed-interactive-batch"
 
     def _simulator(self, tiny_bundle, platform, tiny_calibration,
-                   concurrency=2, mode="gathered"):
+                   concurrency=2):
         engine = build_engine("daop", tiny_bundle, platform, 0.5,
                               tiny_calibration)
-        return ServingSimulator(engine, concurrency=concurrency,
-                                mode=mode)
+        return ServingSimulator(engine, concurrency=concurrency)
 
     def _runner(self, tiny_bundle, seed=7):
         return ScenarioRunner(get_scenario(self.SPEC), tiny_bundle.vocab,
@@ -245,14 +244,14 @@ class TestLifecycle:
             self, tiny_bundle, platform, tiny_calibration):
         """Runs that scheduled differently must never alias."""
         runner = self._runner(tiny_bundle)
-        gathered = runner.run(self._simulator(
-            tiny_bundle, platform, tiny_calibration, mode="gathered"))
-        interleaved = runner.run(self._simulator(
-            tiny_bundle, platform, tiny_calibration, mode="interleaved"))
+        pair = runner.run(self._simulator(
+            tiny_bundle, platform, tiny_calibration, concurrency=2))
+        triple = runner.run(self._simulator(
+            tiny_bundle, platform, tiny_calibration, concurrency=3))
         solo = runner.run(self._simulator(
             tiny_bundle, platform, tiny_calibration, concurrency=1))
-        digests = {gathered.content_digest(),
-                   interleaved.content_digest(),
+        digests = {pair.content_digest(),
+                   triple.content_digest(),
                    solo.content_digest()}
         assert len(digests) == 3
 

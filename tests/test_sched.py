@@ -11,12 +11,13 @@ import pytest
 
 from repro.core import build_engine
 from repro.core.engine import SequenceRequest
+from repro.model.serialization import canonical_digest
 from repro.sched import (
     GATHERED,
-    INTERLEAVED,
     BatchReport,
     ContinuousBatchScheduler,
 )
+from repro.sched.scheduler import SCHED_CHECKPOINT_VERSION
 
 PROMPT_LEN = 10
 MAX_NEW = 5
@@ -237,7 +238,7 @@ class _StepCountingEngine:
         )
 
 
-@pytest.mark.parametrize("mode", [INTERLEAVED, GATHERED])
+@pytest.mark.parametrize("mode", [GATHERED])
 def test_every_active_sequence_steps_once_per_round(
         fiddler, tiny_bundle, mode):
     """Mid-round finishes must never skip or double-step a survivor.
@@ -272,50 +273,30 @@ def test_every_active_sequence_steps_once_per_round(
 
 
 def test_mode_validated(daop):
-    with pytest.raises(ValueError):
-        ContinuousBatchScheduler(daop, max_batch=2, mode="turbo")
+    for mode in ("turbo", "interleaved"):
+        with pytest.raises(ValueError):
+            ContinuousBatchScheduler(daop, max_batch=2, mode=mode)
 
 
 @pytest.mark.parametrize("engine_fixture", ["fiddler", "daop"])
-def test_gathered_matches_interleaved_tokens_and_beats_it_on_time(
+def test_batch4_matches_batch1_tokens_and_beats_it_on_time(
         engine_fixture, tiny_bundle, request):
     engine = request.getfixturevalue(engine_fixture)
     requests = _requests(tiny_bundle)
-    interleaved = ContinuousBatchScheduler(
-        engine, max_batch=4, mode=INTERLEAVED
-    ).run(requests)
-    gathered = ContinuousBatchScheduler(
-        engine, max_batch=4, mode=GATHERED
-    ).run(requests)
+    batch1 = ContinuousBatchScheduler(engine, max_batch=1).run(requests)
+    batch4 = ContinuousBatchScheduler(engine, max_batch=4).run(requests)
     # Identical token streams: gathering only changes the schedule.
-    for a, b in zip(interleaved.records, gathered.records):
+    for a, b in zip(batch1.records, batch4.records):
         assert np.array_equal(a.result.tokens, b.result.tokens)
         assert a.result.stats.counters == b.result.stats.counters
-    # Acceptance: gathered decode is strictly faster at batch 4 and
-    # physically launches fewer expert kernels than logical ops.
-    assert gathered.makespan_s < interleaved.makespan_s
-    assert (gathered.throughput_tokens_per_s
-            > interleaved.throughput_tokens_per_s)
-    assert gathered.n_expert_kernels < gathered.n_expert_ops
-    assert interleaved.n_expert_kernels == interleaved.n_expert_ops
-    assert gathered.gather.expert_amortization > 1.0
-    assert gathered.gather.max_group_size > 1
-
-
-def test_gathered_batch1_equals_interleaved_batch1(daop, tiny_bundle):
-    """With one resident sequence there is nothing to gather: the two
-    modes must produce identical schedules."""
-    requests = _requests(tiny_bundle, n=2)
-    interleaved = ContinuousBatchScheduler(
-        daop, max_batch=1, mode=INTERLEAVED
-    ).run(requests)
-    gathered = ContinuousBatchScheduler(
-        daop, max_batch=1, mode=GATHERED
-    ).run(requests)
-    assert interleaved.makespan_s == gathered.makespan_s
-    for a, b in zip(interleaved.records, gathered.records):
-        assert np.array_equal(a.result.tokens, b.result.tokens)
-        assert a.finish_s == b.finish_s
+    assert batch4.makespan_s < batch1.makespan_s
+    assert (batch4.throughput_tokens_per_s
+            > batch1.throughput_tokens_per_s)
+    # One resident sequence has nothing to share a kernel with.
+    assert batch1.n_expert_kernels == batch1.n_expert_ops
+    assert batch4.n_expert_kernels < batch4.n_expert_ops
+    assert batch4.gather.expert_amortization > 1.0
+    assert batch4.gather.max_group_size > 1
 
 
 def test_gathered_results_pass_invariant_audit(
@@ -340,38 +321,6 @@ def test_batch_report_json_carries_mode_and_kernels(fiddler, tiny_bundle):
 # ---- gathered prefill --------------------------------------------------------
 
 
-def test_gathered_prefill_defaults_follow_mode(daop):
-    assert ContinuousBatchScheduler(
-        daop, max_batch=2, mode=GATHERED
-    ).gathered_prefill
-    assert not ContinuousBatchScheduler(
-        daop, max_batch=2, mode=INTERLEAVED
-    ).gathered_prefill
-
-
-def test_gathered_prefill_rejected_in_interleaved_mode(daop):
-    with pytest.raises(ValueError):
-        ContinuousBatchScheduler(daop, max_batch=2, mode=INTERLEAVED,
-                                 gathered_prefill=True)
-
-
-def test_gathered_prefill_opt_out_leaves_prefill_solo(daop, tiny_bundle):
-    """Opting out keeps decode gathering but never forms prefill cohorts."""
-    requests = _requests(tiny_bundle)
-    solo_prefill = ContinuousBatchScheduler(
-        daop, max_batch=4, mode=GATHERED, gathered_prefill=False
-    ).run(requests)
-    assert solo_prefill.gather.prefill_expert_kernels == 0
-    assert solo_prefill.gather.expert_kernels < solo_prefill.gather.expert_ops
-    cohort = ContinuousBatchScheduler(
-        daop, max_batch=4, mode=GATHERED
-    ).run(requests)
-    assert cohort.gather.prefill_expert_kernels > 0
-    # Either way the token streams match.
-    for a, b in zip(solo_prefill.records, cohort.records):
-        assert np.array_equal(a.result.tokens, b.result.tokens)
-
-
 def test_batch_report_json_carries_phase_stats(fiddler, tiny_bundle):
     report = ContinuousBatchScheduler(
         fiddler, max_batch=4, mode=GATHERED
@@ -387,3 +336,23 @@ def test_batch_report_json_carries_phase_stats(fiddler, tiny_bundle):
     assert decode["expert_kernels"] < decode["expert_ops"]
     assert (prefill["expert_ops"] + decode["expert_ops"]
             == payload["n_expert_ops"])
+
+
+# ---- checkpoint format ---------------------------------------------------------
+
+
+def test_version2_checkpoint_rejected(daop, tiny_bundle):
+    """A well-formed pre-version-3 checkpoint (with the dropped
+    ``gathered_prefill`` flag) is refused, not misread."""
+    scheduler = ContinuousBatchScheduler(daop, max_batch=2)
+    session = scheduler.begin(_requests(tiny_bundle, n=2))
+    scheduler.tick(session)
+    body = scheduler.checkpoint_session(session)
+    assert body["version"] == SCHED_CHECKPOINT_VERSION == 3
+    del body["digest"]
+    body["version"] = 2
+    body["gathered_prefill"] = True
+    body["digest"] = canonical_digest(body)
+    with pytest.raises(ValueError,
+                       match="unsupported scheduler-checkpoint version 2"):
+        scheduler.restore_session(body)

@@ -15,13 +15,12 @@ from repro.serving import (
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 
-@pytest.fixture(params=["repro.scenarios.arrivals",
-                        "repro.serving.arrivals"])
+@pytest.fixture(params=["repro.scenarios.arrivals", "repro.serving"])
 def arrivals_mod(request):
-    """The arrival generators via both their canonical and legacy paths.
+    """The arrival generators via both of their public import paths.
 
-    The generators live in ``repro.scenarios.arrivals``;
-    ``repro.serving.arrivals`` re-exports them for compatibility.  Every
+    The generators live in ``repro.scenarios.arrivals``; the
+    ``repro.serving`` package re-exports the classic trio.  Every
     behavioral test below runs against both import paths.
     """
     return importlib.import_module(request.param)
@@ -81,13 +80,13 @@ class TestArrivals:
         np.testing.assert_array_equal(a, b)
 
     def test_reexport_is_same_object(self):
-        """The legacy path re-exports the very same functions."""
+        """``repro.serving`` re-exports the very same functions."""
+        import repro.serving as serving
         from repro.scenarios import arrivals as canonical
-        from repro.serving import arrivals as legacy
 
-        assert legacy.poisson_arrivals is canonical.poisson_arrivals
-        assert legacy.bursty_arrivals is canonical.bursty_arrivals
-        assert legacy.uniform_arrivals is canonical.uniform_arrivals
+        assert serving.poisson_arrivals is canonical.poisson_arrivals
+        assert serving.bursty_arrivals is canonical.bursty_arrivals
+        assert serving.uniform_arrivals is canonical.uniform_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +167,14 @@ class TestServingSimulator:
         generator = SequenceGenerator(SHAREGPT, tiny_bundle.vocab, seed=64)
         with pytest.raises(ValueError):
             ServingSimulator(engine, generator, concurrency=0)
+
+    def test_only_gathered_mode_accepted(self, tiny_bundle, platform,
+                                         tiny_calibration):
+        engine = build_engine("daop", tiny_bundle, platform, 0.5,
+                              tiny_calibration)
+        assert ServingSimulator(engine, mode="gathered").mode == "gathered"
+        with pytest.raises(ValueError):
+            ServingSimulator(engine, mode="interleaved")
 
     def test_concurrency_cuts_queue_delay_same_tokens(
             self, tiny_bundle, platform, tiny_calibration):
@@ -306,6 +313,16 @@ class TestPercentileOrZero:
 
         assert percentile_or_zero([], 50) == 0.0
         assert percentile_or_zero((), 99) == 0.0
+
+    def test_one_definition_shared_by_every_report(self):
+        import repro.cluster.report as cluster_report
+        import repro.serving as serving
+        import repro.serving.simulator as serving_simulator
+        from repro.scenarios import percentile_or_zero
+
+        assert serving.percentile_or_zero is percentile_or_zero
+        assert serving_simulator.percentile_or_zero is percentile_or_zero
+        assert cluster_report.percentile_or_zero is percentile_or_zero
 
     def test_matches_numpy_when_nonempty(self):
         from repro.serving import percentile_or_zero
