@@ -84,9 +84,9 @@ def build_requests(simulator):
 def report_records(report):
     """JSON-stable per-request tuples for bitwise comparison."""
     return [
-        [r.request_id, r.arrival_s, r.start_s, r.first_token_s,
+        [r.seq_id, r.arrival_s, r.service_start_s, r.first_token_s,
          r.finish_s, r.n_prompt_tokens, r.n_generated, r.energy_j]
-        for r in sorted(report.requests, key=lambda r: r.request_id)
+        for r in sorted(report.records, key=lambda r: r.seq_id)
     ]
 
 
@@ -97,7 +97,7 @@ def stage_reference(workdir):
     path = os.path.join(workdir, "reference.json")
     with open(path, "w") as handle:
         json.dump(report_records(report), handle)
-    print(f"reference: served {report.n_requests} request(s), "
+    print(f"reference: served {report.n_sequences} request(s), "
           f"records written to {path}")
 
 

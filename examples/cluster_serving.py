@@ -108,7 +108,7 @@ def main() -> None:
                     f"{100 * report.slo_attainment:.0f}%",
                     report.ttft_percentile(50),
                     f"{100 * report.mean_warm_hit_rate:.1f}%",
-                    sum(r.prefill_swaps for r in report.requests),
+                    sum(r.prefill_swaps for r in report.records),
                     report.load_balance_index,
                 ])
         print()

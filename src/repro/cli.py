@@ -370,7 +370,7 @@ def cmd_watch(args) -> int:
     breakdown = "  ".join(
         f"{kind}={counts[kind]}" for kind in EVENT_KINDS if kind in counts
     )
-    print(f"watched {report.n_requests} request(s) on {args.engine} "
+    print(f"watched {report.n_sequences} request(s) on {args.engine} "
           f"(concurrency {args.concurrency}): "
           f"{sum(counts.values())} event(s) [{breakdown}]")
     return 0
@@ -645,7 +645,7 @@ def cmd_bench_batch(args) -> int:
                     engine, max_batch=batch_size
                 ).run(requests)
                 throughput[batch_size] = report.throughput_tokens_per_s
-                prefill = report.phase_gather_stats()["prefill"]
+                prefill = report.gather.phase_stats()["prefill"]
                 rows.append([
                     name, f"{input_len}/{output_len}", batch_size,
                     report.makespan_s,

@@ -1,4 +1,4 @@
-"""Fleet-level serving metrics: the ``ServingReport`` vocabulary scaled up.
+"""Fleet-level serving metrics: the ``BatchReport`` vocabulary scaled up.
 
 A :class:`ClusterReport` keeps the single-engine vocabulary (TTFT / TPOT
 / latency percentiles, throughput, queue delay) and adds what only
@@ -24,19 +24,21 @@ diff serving trajectories across PRs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.admission import EXPIRED, SHED, SLOTarget
 from repro.core.batching import GatherStats
 from repro.scenarios import percentile_or_zero
-from repro.serving.simulator import ServedRequest
+from repro.sched.scheduler import SequenceRecord
 
 
 @dataclass(frozen=True)
-class ClusterRequest(ServedRequest):
+class ClusterRequest(SequenceRecord):
     """One served request, annotated with its replica and cache warmth.
 
-    Attributes (beyond :class:`~repro.serving.simulator.ServedRequest`):
+    Times are on the cluster's clock; ``result`` is not kept.
+
+    Attributes (beyond :class:`~repro.sched.scheduler.SequenceRecord`):
         replica: index of the replica that served the request.
         warm_hit_rate: fraction of the request's prompt expert
             activations (count-weighted) GPU-resident on the replica at
@@ -56,14 +58,7 @@ class ClusterRequest(ServedRequest):
     def to_state_dict(self) -> dict:
         """Serialize the record for a checkpoint."""
         return {
-            "request_id": self.request_id,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "first_token_s": self.first_token_s,
-            "finish_s": self.finish_s,
-            "n_prompt_tokens": self.n_prompt_tokens,
-            "n_generated": self.n_generated,
-            "energy_j": self.energy_j,
+            **super().to_state_dict(),
             "replica": self.replica,
             "warm_hit_rate": self.warm_hit_rate,
             "engine_hit_rate": self.engine_hit_rate,
@@ -73,15 +68,8 @@ class ClusterRequest(ServedRequest):
     @classmethod
     def from_state_dict(cls, payload: dict) -> "ClusterRequest":
         """Rebuild the record captured by :meth:`to_state_dict`."""
-        return cls(
-            request_id=int(payload["request_id"]),
-            arrival_s=float(payload["arrival_s"]),
-            start_s=float(payload["start_s"]),
-            first_token_s=float(payload["first_token_s"]),
-            finish_s=float(payload["finish_s"]),
-            n_prompt_tokens=int(payload["n_prompt_tokens"]),
-            n_generated=int(payload["n_generated"]),
-            energy_j=float(payload["energy_j"]),
+        return replace(
+            super().from_state_dict(payload),
             replica=int(payload["replica"]),
             warm_hit_rate=float(payload["warm_hit_rate"]),
             engine_hit_rate=float(payload["engine_hit_rate"]),
@@ -134,7 +122,7 @@ class ClusterReport:
     policy: str
     n_replicas: int
     slo: SLOTarget = field(default_factory=SLOTarget)
-    requests: list[ClusterRequest] = field(default_factory=list)
+    records: list[ClusterRequest] = field(default_factory=list)
     rejected: list[RejectedRequest] = field(default_factory=list)
     replica_busy_s: list[float] = field(default_factory=list)
     replica_gather: list[GatherStats] = field(default_factory=list)
@@ -144,7 +132,7 @@ class ClusterReport:
     @property
     def n_served(self) -> int:
         """Requests that completed service."""
-        return len(self.requests)
+        return len(self.records)
 
     @property
     def n_shed(self) -> int:
@@ -166,9 +154,9 @@ class ClusterReport:
     @property
     def makespan_s(self) -> float:
         """Simulated seconds from first arrival to last completion."""
-        arrivals = [r.arrival_s for r in self.requests]
+        arrivals = [r.arrival_s for r in self.records]
         arrivals += [r.arrival_s for r in self.rejected]
-        finishes = [r.finish_s for r in self.requests]
+        finishes = [r.finish_s for r in self.records]
         if not arrivals or not finishes:
             return 0.0
         return max(finishes) - min(arrivals)
@@ -186,7 +174,7 @@ class ClusterReport:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        return sum(r.n_generated for r in self.requests) / span
+        return sum(r.n_generated for r in self.records) / span
 
     @property
     def goodput_tokens_per_s(self) -> float:
@@ -194,7 +182,7 @@ class ClusterReport:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        good = sum(r.n_generated for r in self.requests
+        good = sum(r.n_generated for r in self.records
                    if self.meets_slo(r))
         return good / span
 
@@ -203,27 +191,27 @@ class ClusterReport:
         """Fraction of offered requests served within SLO targets."""
         if self.n_offered == 0:
             return 0.0
-        met = sum(1 for r in self.requests if self.meets_slo(r))
+        met = sum(1 for r in self.records if self.meets_slo(r))
         return met / self.n_offered
 
     def ttft_percentile(self, q: float) -> float:
         """TTFT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.ttft_s for r in self.requests], q)
+        return percentile_or_zero([r.ttft_s for r in self.records], q)
 
     def tpot_percentile(self, q: float) -> float:
         """TPOT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.tpot_s for r in self.requests], q)
+        return percentile_or_zero([r.tpot_s for r in self.records], q)
 
     def latency_percentile(self, q: float) -> float:
         """End-to-end latency percentile (seconds) over served requests."""
-        return percentile_or_zero([r.latency_s for r in self.requests], q)
+        return percentile_or_zero([r.latency_s for r in self.records], q)
 
     @property
     def mean_queue_delay_s(self) -> float:
         """Mean time served requests waited for a replica."""
-        if not self.requests:
+        if not self.records:
             return 0.0
-        return sum(r.queue_delay_s for r in self.requests) / self.n_served
+        return sum(r.queue_delay_s for r in self.records) / self.n_served
 
     # ---- fleet health ---------------------------------------------------------
 
@@ -249,13 +237,13 @@ class ClusterReport:
     @property
     def mean_warm_hit_rate(self) -> float:
         """Mean start-of-service expert-cache hit rate over requests."""
-        if not self.requests:
+        if not self.records:
             return 0.0
-        return sum(r.warm_hit_rate for r in self.requests) / self.n_served
+        return sum(r.warm_hit_rate for r in self.records) / self.n_served
 
     def replica_warm_hit_rate(self, replica: int) -> float:
         """Mean start-of-service cache hit rate of one replica."""
-        rates = [r.warm_hit_rate for r in self.requests
+        rates = [r.warm_hit_rate for r in self.records
                  if r.replica == replica]
         if not rates:
             return 0.0
@@ -272,35 +260,6 @@ class ClusterReport:
         if replica < len(self.replica_gather):
             return self.replica_gather[replica]
         return GatherStats()
-
-    def replica_phase_stats(self, replica: int) -> dict:
-        """Per-phase (prefill/decode) gathered kernel counts of one
-        replica, so the two regimes' amortization is separable."""
-        gather = self.replica_gather_stats(replica)
-        return {
-            "prefill": {
-                "expert_ops": gather.prefill_expert_ops,
-                "expert_kernels": gather.prefill_expert_kernels,
-                "expert_amortization": gather.prefill_expert_amortization,
-                "lm_head_ops": gather.prefill_lm_head_ops,
-                "lm_head_kernels": gather.prefill_lm_head_kernels,
-                "attn_ops": gather.attn_ops,
-                "attn_kernels": gather.attn_kernels,
-                "gate_ops": gather.gate_ops,
-                "gate_kernels": gather.gate_kernels,
-            },
-            "decode": {
-                "expert_ops": gather.decode_expert_ops,
-                "expert_kernels": gather.decode_expert_kernels,
-                "expert_amortization": gather.decode_expert_amortization,
-                "lm_head_ops": (
-                    gather.lm_head_ops - gather.prefill_lm_head_ops
-                ),
-                "lm_head_kernels": (
-                    gather.lm_head_kernels - gather.prefill_lm_head_kernels
-                ),
-            },
-        }
 
     # ---- serialization --------------------------------------------------------
 
@@ -334,7 +293,7 @@ class ClusterReport:
                     "busy_s": busy,
                     "utilization": util,
                     "warm_hit_rate": self.replica_warm_hit_rate(i),
-                    "served": sum(1 for r in self.requests
+                    "served": sum(1 for r in self.records
                                   if r.replica == i),
                     "expert_ops": self.replica_gather_stats(i).expert_ops,
                     "expert_kernels":
@@ -345,7 +304,7 @@ class ClusterReport:
                         self.replica_gather_stats(i).gathered_rows,
                     "max_group_size":
                         self.replica_gather_stats(i).max_group_size,
-                    "phases": self.replica_phase_stats(i),
+                    "phases": self.replica_gather_stats(i).phase_stats(),
                 }
                 for i, (busy, util) in enumerate(
                     zip(self.replica_busy_s, self.replica_utilization())
@@ -353,10 +312,10 @@ class ClusterReport:
             ],
             "requests": [
                 {
-                    "request_id": r.request_id,
+                    "request_id": r.seq_id,
                     "replica": r.replica,
                     "arrival_s": r.arrival_s,
-                    "start_s": r.start_s,
+                    "start_s": r.service_start_s,
                     "first_token_s": r.first_token_s,
                     "finish_s": r.finish_s,
                     "n_generated": r.n_generated,
@@ -365,7 +324,7 @@ class ClusterReport:
                     "prefill_swaps": r.prefill_swaps,
                     "meets_slo": self.meets_slo(r),
                 }
-                for r in self.requests
+                for r in self.records
             ],
             "rejected": [
                 {
@@ -389,7 +348,7 @@ class ClusterReport:
             "policy": self.policy,
             "n_replicas": self.n_replicas,
             "slo": {"ttft_s": self.slo.ttft_s, "tpot_s": self.slo.tpot_s},
-            "requests": [r.to_state_dict() for r in self.requests],
+            "records": [r.to_state_dict() for r in self.records],
             "rejected": [r.to_state_dict() for r in self.rejected],
             "replica_busy_s": list(self.replica_busy_s),
             "replica_gather": [g.to_state_dict()
@@ -405,8 +364,8 @@ class ClusterReport:
             n_replicas=int(payload["n_replicas"]),
             slo=SLOTarget(ttft_s=float(payload["slo"]["ttft_s"]),
                           tpot_s=float(payload["slo"]["tpot_s"])),
-            requests=[ClusterRequest.from_state_dict(r)
-                      for r in payload["requests"]],
+            records=[ClusterRequest.from_state_dict(r)
+                     for r in payload["records"]],
             rejected=[RejectedRequest.from_state_dict(r)
                       for r in payload["rejected"]],
             replica_busy_s=[float(b) for b in payload["replica_busy_s"]],

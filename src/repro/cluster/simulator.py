@@ -453,7 +453,7 @@ class ClusterSimulator:
                 CHECKPOINT_SAVE, session.heap.now, sim_kind=CLUSTER_KIND,
                 engine=session.report.engine,
                 n_pending=len(session.heap),
-                n_completed=len(session.report.requests),
+                n_completed=len(session.report.records),
             )
         return checkpoint
 
@@ -538,7 +538,7 @@ class ClusterSimulator:
             self.events.emit(
                 CHECKPOINT_RESTORE, session.heap.now, sim_kind=CLUSTER_KIND,
                 engine=checkpoint.engine, n_pending=len(session.heap),
-                n_completed=len(session.report.requests),
+                n_completed=len(session.report.records),
             )
         return session
 
@@ -690,21 +690,21 @@ class ClusterSimulator:
         by_id = {rec.seq_id: rec for rec in batch.records}
         for member in gang:
             rec = by_id[member.request_id]
-            stats = rec.result.stats
-            session.report.requests.append(
+            counters = rec.result.stats.counters
+            session.report.records.append(
                 ClusterRequest(
-                    request_id=member.request_id,
+                    seq_id=member.request_id,
                     arrival_s=member.arrival_s,
-                    start_s=now + rec.service_start_s,
+                    service_start_s=now + rec.service_start_s,
                     first_token_s=now + rec.first_token_s,
                     finish_s=now + rec.finish_s,
-                    n_prompt_tokens=stats.n_prompt_tokens,
-                    n_generated=stats.n_generated,
-                    energy_j=stats.energy.total_j,
+                    n_prompt_tokens=rec.n_prompt_tokens,
+                    n_generated=rec.n_generated,
+                    energy_j=rec.energy_j,
                     replica=replica_idx,
                     warm_hit_rate=hit_rates[member.request_id],
-                    engine_hit_rate=stats.counters.gpu_hit_rate,
-                    prefill_swaps=stats.counters.prefill_swaps,
+                    engine_hit_rate=counters.gpu_hit_rate,
+                    prefill_swaps=counters.prefill_swaps,
                 )
             )
             heap.push(now + rec.finish_s, COMPLETION,

@@ -147,6 +147,36 @@ class GatherStats:
             return 1.0
         return self.decode_expert_ops / self.decode_expert_kernels
 
+    def phase_stats(self) -> dict:
+        """Per-phase (prefill/decode) gathered kernel and op counts.
+
+        Splits the accumulator so the two regimes' amortization is
+        separable in reports; all-zero counts with unit amortization
+        when nothing was gathered (``max_batch=1``).
+        """
+        return {
+            "prefill": {
+                "expert_ops": self.prefill_expert_ops,
+                "expert_kernels": self.prefill_expert_kernels,
+                "expert_amortization": self.prefill_expert_amortization,
+                "lm_head_ops": self.prefill_lm_head_ops,
+                "lm_head_kernels": self.prefill_lm_head_kernels,
+                "attn_ops": self.attn_ops,
+                "attn_kernels": self.attn_kernels,
+                "gate_ops": self.gate_ops,
+                "gate_kernels": self.gate_kernels,
+            },
+            "decode": {
+                "expert_ops": self.decode_expert_ops,
+                "expert_kernels": self.decode_expert_kernels,
+                "expert_amortization": self.decode_expert_amortization,
+                "lm_head_ops": self.lm_head_ops - self.prefill_lm_head_ops,
+                "lm_head_kernels": (
+                    self.lm_head_kernels - self.prefill_lm_head_kernels
+                ),
+            },
+        }
+
     def merge(self, other: "GatherStats") -> None:
         """Fold another accumulator into this one (cross-batch totals)."""
         self.expert_ops += other.expert_ops

@@ -128,7 +128,7 @@ class GenerationStats:
         The first generated token comes from the *prefill* logits, so a
         generation of ``n_generated`` tokens runs only ``n_generated - 1``
         decode steps; dividing by that count matches
-        :attr:`repro.serving.simulator.ServedRequest.tpot_s`.
+        :attr:`repro.sched.scheduler.SequenceRecord.tpot_s`.
         """
         if self.decode_time_s <= 0 or self.n_generated <= 1:
             return 0.0

@@ -158,21 +158,19 @@ class EngineContractGuard:
         if self.check_timeline:
             validate_timeline(result.timeline)
         if self.slot_budget:
-            validate_slot_budget(
-                self.engine.placement,
-                self.engine.initial_placement.gpu_count()
-                + self.slot_slack,
-            )
+            self._check_slots(result.placement)
         return result
 
     def _guarded_upload(self, original, *args, **kwargs):
-        # The sequence state carries its own phase, which stays correct
-        # when a scheduler interleaves several sequences (one may be in
-        # decode while another is still prefilling); the guard-level
-        # phase is the fallback for direct primitive calls.
-        phase = self.phase
-        if args:
-            phase = getattr(args[0], "phase", phase)
+        # The uploading sequence state carries its own phase and
+        # placement, which stay correct when a scheduler interleaves
+        # several sequences (one may be in decode while another is
+        # still prefilling, and the engine's deprecated ``placement``
+        # view follows only the last-started one); the guard-level
+        # phase and that view are the fallback for direct primitive
+        # calls.
+        ctx = args[0] if args else None
+        phase = getattr(ctx, "phase", self.phase)
         if self.prefill_only and phase == "decode":
             raise ContractViolation(
                 f"engine '{self.engine.name}' uploaded an expert during "
@@ -181,9 +179,13 @@ class EngineContractGuard:
             )
         op = original(*args, **kwargs)
         if self.slot_budget:
-            validate_slot_budget(
-                self.engine.placement,
-                self.engine.initial_placement.gpu_count()
-                + self.slot_slack,
-            )
+            self._check_slots(getattr(ctx, "placement",
+                                      self.engine.placement))
         return op
+
+    def _check_slots(self, placement) -> None:
+        """Validate one sequence's residency against the slot budget."""
+        validate_slot_budget(
+            placement,
+            self.engine.initial_placement.gpu_count() + self.slot_slack,
+        )

@@ -33,9 +33,10 @@ evaluation stack: the
 continuous-batching scheduler drives the engine step machine directly
 (rank 3) and is itself consumed by ``serving``.  ``cluster`` sits in
 the serving tier but one rank above ``serving``: the fleet simulator
-builds on the single-engine serving vocabulary (it extends
-``ServingReport``'s request records), while ``serving`` must stay
-importable without any fleet machinery.  ``perf`` (the forward-compute
+extends the scheduler's request record (``ClusterRequest`` subclasses
+``SequenceRecord``) and imports ``serving.checkpoint`` for its
+checkpoint envelope, while ``serving`` must stay importable without
+any fleet machinery.  ``perf`` (the forward-compute
 cache + its cold/warm benchmark harness) also ranks 6: its benchmark
 drives the differential audit (rank 5), while the model consumes the
 cache purely by duck typing — ``repro.model`` never imports ``perf``.

@@ -270,11 +270,11 @@ class ScenarioRunner:
             backend_mode=str(getattr(simulator, "mode", "")),
             concurrency=int(getattr(simulator, "concurrency", 1)),
         )
-        for served in sorted(backend_report.requests,
-                             key=lambda r: r.request_id):
-            spec = by_id[served.request_id]
+        for served in sorted(backend_report.records,
+                             key=lambda r: r.seq_id):
+            spec = by_id[served.seq_id]
             report.requests.append(ScenarioRequestRecord(
-                request_id=served.request_id,
+                request_id=served.seq_id,
                 tenant=spec.tenant,
                 slo_class=spec.slo_class,
                 dataset=spec.dataset,

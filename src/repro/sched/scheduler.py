@@ -56,12 +56,14 @@ from repro.hardware.timeline import (
     Timeline,
 )
 from repro.model.serialization import canonical_digest
+from repro.scenarios import percentile_or_zero
 
 #: Version of the scheduler-session checkpoint layout; restore rejects
 #: other versions instead of misreading them.  Version 3 removed the
 #: prefill-gathering flag that version 2 carried in the body, together
-#: with the interleaved execution mode.
-SCHED_CHECKPOINT_VERSION = 3
+#: with the interleaved execution mode; version 4 added each record's
+#: ``energy_j``.
+SCHED_CHECKPOINT_VERSION = 4
 
 #: The scheduler's one execution mode: every round steps all
 #: decode-phase sequences through one
@@ -85,9 +87,13 @@ def check_mode(mode: str) -> None:
 
 @dataclass(frozen=True)
 class SequenceRecord:
-    """Absolute-time service record of one sequence in a batch.
+    """Absolute-time service record of one served request.
 
-    All times are in simulated seconds on the batch's shared clock.
+    The one timing record of the serving stack: the scheduler, the
+    serving simulator and (through
+    :class:`~repro.cluster.report.ClusterRequest`) the fleet simulator
+    all report requests with it.  All times are in simulated seconds on
+    the owner's clock.
 
     Attributes:
         seq_id: identifier carried over from the request.
@@ -97,8 +103,10 @@ class SequenceRecord:
         finish_s: completion of the sequence's last op.
         n_prompt_tokens: prompt length.
         n_generated: generated-token count.
+        energy_j: generation energy in joules.
         result: the sequence-local :class:`GenerationResult` (timeline
-            rebased to ``service_start_s``).
+            rebased to ``service_start_s``), or ``None`` for a record
+            that does not keep it.
     """
 
     seq_id: int
@@ -108,7 +116,8 @@ class SequenceRecord:
     finish_s: float
     n_prompt_tokens: int
     n_generated: int
-    result: GenerationResult = field(repr=False, default=None)
+    energy_j: float
+    result: GenerationResult | None = field(repr=False, default=None)
 
     @property
     def queue_delay_s(self) -> float:
@@ -143,12 +152,15 @@ class SequenceRecord:
             "finish_s": self.finish_s,
             "n_prompt_tokens": self.n_prompt_tokens,
             "n_generated": self.n_generated,
-            "result": self.result.to_state_dict(),
+            "energy_j": self.energy_j,
+            "result": (None if self.result is None
+                       else self.result.to_state_dict()),
         }
 
     @classmethod
     def from_state_dict(cls, payload: dict) -> "SequenceRecord":
         """Rebuild a record captured by :meth:`to_state_dict`."""
+        result = payload["result"]
         return cls(
             seq_id=int(payload["seq_id"]),
             arrival_s=payload["arrival_s"],
@@ -157,7 +169,9 @@ class SequenceRecord:
             finish_s=payload["finish_s"],
             n_prompt_tokens=int(payload["n_prompt_tokens"]),
             n_generated=int(payload["n_generated"]),
-            result=GenerationResult.from_state_dict(payload["result"]),
+            energy_j=payload["energy_j"],
+            result=(None if result is None
+                    else GenerationResult.from_state_dict(result)),
         )
 
 
@@ -272,38 +286,37 @@ class BatchReport:
             return 0.0
         return float(np.mean([r.tpot_s for r in self.records]))
 
-    def phase_gather_stats(self) -> dict:
-        """Per-phase (prefill/decode) gathered kernel and op counts.
+    def ttft_percentile(self, q: float) -> float:
+        """TTFT percentile in seconds."""
+        return percentile_or_zero([r.ttft_s for r in self.records], q)
 
-        Splits the gather accumulator so the two regimes' amortization
-        is separable in reports; all-zero counts with unit amortization
-        when the run gathered nothing (``max_batch=1``).
-        """
-        gather = self.gather
-        return {
-            "prefill": {
-                "expert_ops": gather.prefill_expert_ops,
-                "expert_kernels": gather.prefill_expert_kernels,
-                "expert_amortization": gather.prefill_expert_amortization,
-                "lm_head_ops": gather.prefill_lm_head_ops,
-                "lm_head_kernels": gather.prefill_lm_head_kernels,
-                "attn_ops": gather.attn_ops,
-                "attn_kernels": gather.attn_kernels,
-                "gate_ops": gather.gate_ops,
-                "gate_kernels": gather.gate_kernels,
-            },
-            "decode": {
-                "expert_ops": gather.decode_expert_ops,
-                "expert_kernels": gather.decode_expert_kernels,
-                "expert_amortization": gather.decode_expert_amortization,
-                "lm_head_ops": (
-                    gather.lm_head_ops - gather.prefill_lm_head_ops
-                ),
-                "lm_head_kernels": (
-                    gather.lm_head_kernels - gather.prefill_lm_head_kernels
-                ),
-            },
-        }
+    def latency_percentile(self, q: float) -> float:
+        """End-to-end latency percentile in seconds."""
+        return percentile_or_zero([r.latency_s for r in self.records], q)
+
+    def tpot_percentile(self, q: float) -> float:
+        """Time-per-output-token percentile in seconds."""
+        return percentile_or_zero([r.tpot_s for r in self.records], q)
+
+    @property
+    def mean_queue_delay_s(self) -> float:
+        """Mean time sequences spent queued."""
+        if not self.records:
+            return 0.0
+        return float(np.mean([r.queue_delay_s for r in self.records]))
+
+    @property
+    def total_energy_kj(self) -> float:
+        """Total generation energy in kilojoules."""
+        return sum(r.energy_j for r in self.records) / 1e3
+
+    @property
+    def tokens_per_kilojoule(self) -> float:
+        """Generated tokens per kilojoule of generation energy."""
+        kj = self.total_energy_kj
+        if kj <= 0:
+            return 0.0
+        return self.total_generated / kj
 
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON rendering (CI artifacts, diffing)."""
@@ -314,7 +327,7 @@ class BatchReport:
             "n_expert_ops": self.n_expert_ops,
             "n_expert_kernels": self.n_expert_kernels,
             "expert_amortization": self.gather.expert_amortization,
-            "phases": self.phase_gather_stats(),
+            "phases": self.gather.phase_stats(),
             "n_sequences": self.n_sequences,
             "makespan_s": self.makespan_s,
             "sum_solo_makespans_s": self.sum_solo_makespans_s,
@@ -683,5 +696,6 @@ class ContinuousBatchScheduler:
             finish_s=finish,
             n_prompt_tokens=result.stats.n_prompt_tokens,
             n_generated=result.stats.n_generated,
+            energy_j=result.stats.energy.total_j,
             result=result,
         )

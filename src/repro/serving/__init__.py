@@ -16,12 +16,7 @@ from repro.serving.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.serving.simulator import (
-    ServedRequest,
-    ServingReport,
-    ServingSession,
-    ServingSimulator,
-)
+from repro.serving.simulator import ServingSession, ServingSimulator
 
 __all__ = [
     "bursty_arrivals",
@@ -36,8 +31,6 @@ __all__ = [
     "SimCheckpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "ServedRequest",
-    "ServingReport",
     "ServingSession",
     "ServingSimulator",
 ]

@@ -16,16 +16,16 @@ stays in simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.engine import BaseEngine, SequenceRequest
 from repro.events import CHECKPOINT_RESTORE, CHECKPOINT_SAVE, EventBus
 from repro.hardware.timeline import GPU
-from repro.scenarios import percentile_or_zero
 from repro.sched.scheduler import (
     GATHERED,
+    BatchReport,
     BatchSession,
     ContinuousBatchScheduler,
     check_mode,
@@ -37,105 +37,6 @@ from repro.serving.checkpoint import (
 )
 from repro.workloads.generator import SequenceGenerator
 from repro.workloads.requests import RequestSpec
-
-
-@dataclass(frozen=True)
-class ServedRequest:
-    """Per-request timing record (all times in simulated seconds)."""
-
-    request_id: int
-    arrival_s: float
-    start_s: float
-    first_token_s: float
-    finish_s: float
-    n_prompt_tokens: int
-    n_generated: int
-    energy_j: float
-
-    @property
-    def queue_delay_s(self) -> float:
-        """Time spent waiting for the engine."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> float:
-        """Time to first token, from arrival."""
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency, from arrival to last token."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def tpot_s(self) -> float:
-        """Time per output token during decode."""
-        decode = self.finish_s - self.first_token_s
-        if self.n_generated <= 1:
-            return 0.0
-        return decode / (self.n_generated - 1)
-
-
-@dataclass
-class ServingReport:
-    """Aggregate serving metrics over a request trace."""
-
-    engine: str
-    requests: list[ServedRequest] = field(default_factory=list)
-
-    @property
-    def n_requests(self) -> int:
-        """Number of served requests."""
-        return len(self.requests)
-
-    @property
-    def makespan_s(self) -> float:
-        """Simulated time from first arrival to last completion."""
-        if not self.requests:
-            return 0.0
-        start = min(r.arrival_s for r in self.requests)
-        end = max(r.finish_s for r in self.requests)
-        return end - start
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        """Sustained generated-token throughput."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return sum(r.n_generated for r in self.requests) / span
-
-    def ttft_percentile(self, q: float) -> float:
-        """TTFT percentile in seconds."""
-        return percentile_or_zero([r.ttft_s for r in self.requests], q)
-
-    def latency_percentile(self, q: float) -> float:
-        """End-to-end latency percentile in seconds."""
-        return percentile_or_zero([r.latency_s for r in self.requests], q)
-
-    def tpot_percentile(self, q: float) -> float:
-        """Time-per-output-token percentile in seconds."""
-        return percentile_or_zero([r.tpot_s for r in self.requests], q)
-
-    @property
-    def mean_queue_delay_s(self) -> float:
-        """Mean time requests spent queued."""
-        if not self.requests:
-            return 0.0
-        return float(np.mean([r.queue_delay_s for r in self.requests]))
-
-    @property
-    def total_energy_kj(self) -> float:
-        """Total serving energy in kilojoules."""
-        return sum(r.energy_j for r in self.requests) / 1e3
-
-    @property
-    def tokens_per_kilojoule(self) -> float:
-        """Serving-level energy efficiency."""
-        kj = self.total_energy_kj
-        if kj <= 0:
-            return 0.0
-        return sum(r.n_generated for r in self.requests) / kj
 
 
 @dataclass
@@ -194,7 +95,7 @@ class ServingSimulator:
         return scheduler
 
     def run(self, arrival_times: np.ndarray, prompt_len: int,
-            output_len: int) -> ServingReport:
+            output_len: int) -> BatchReport:
         """Serve one uniform-length request per arrival time.
 
         Requests are generated deterministically from the simulator's
@@ -227,16 +128,16 @@ class ServingSimulator:
             )
         return self.run_requests(specs)
 
-    def run_requests(self, specs: list[RequestSpec]) -> ServingReport:
-        """Serve fully-materialized requests; returns the report.
+    def run_requests(self, specs: list[RequestSpec]) -> BatchReport:
+        """Serve fully-materialized requests; returns the batch report.
 
         Each :class:`~repro.workloads.requests.RequestSpec` carries its
         own arrival time, tokens, and decode length, so heterogeneous
         scenario traffic (mixed tenants, varying lengths) flows through
         the same FIFO/continuous-batching machinery as the uniform
         regime.  Requests are served in ``(arrival_s, request_id)``
-        order; the spec's ``request_id`` is carried through as the
-        report's ``request_id``.
+        order; the spec's ``request_id`` is carried through as each
+        record's ``seq_id``.
         """
         session = self.begin_session(specs)
         while self.tick(session):
@@ -271,24 +172,9 @@ class ServingSimulator:
         """Advance the session one scheduler round; ``False`` when done."""
         return session.scheduler.tick(session.batch)
 
-    def finish_session(self, session: ServingSession) -> ServingReport:
-        """Summarize a drained session into a :class:`ServingReport`."""
-        batch = session.scheduler.finish(session.batch)
-        report = ServingReport(engine=self.engine.name)
-        for rec in batch.records:
-            report.requests.append(
-                ServedRequest(
-                    request_id=rec.seq_id,
-                    arrival_s=rec.arrival_s,
-                    start_s=rec.service_start_s,
-                    first_token_s=rec.first_token_s,
-                    finish_s=rec.finish_s,
-                    n_prompt_tokens=rec.n_prompt_tokens,
-                    n_generated=rec.n_generated,
-                    energy_j=rec.result.stats.energy.total_j,
-                )
-            )
-        return report
+    def finish_session(self, session: ServingSession) -> BatchReport:
+        """Summarize a drained session into its :class:`BatchReport`."""
+        return session.scheduler.finish(session.batch)
 
     # ---- checkpoint / restore --------------------------------------------------
 

@@ -309,3 +309,36 @@ def test_step_parity_flags_swapped_expert_labels():
         "start/step/finish: per-op timeline differs from generate() at "
         "op 0 (2 vs 2 ops)"
     ]
+
+
+def _traced_result(experts):
+    """A fake result whose trace routes one decode token to ``experts``."""
+    from repro.core.engine import EngineCounters
+    from repro.trace.recorder import DECODE, ActivationTrace
+
+    trace = ActivationTrace(n_blocks=1, n_experts=4)
+    trace.record(DECODE, 0, 0, experts)
+    stats = SimpleNamespace(counters=EngineCounters(gpu_expert_execs=2))
+    return SimpleNamespace(tokens=np.array([1, 2]), stats=stats,
+                           trace=trace)
+
+
+def test_batched_parity_flags_perturbed_trace():
+    """Same tokens and counters — only the batched sequence's recorded
+    routing differs from its solo run, which must still be flagged."""
+    from repro.audit.differential import (
+        StepParityComparison,
+        _check_batched_parity,
+    )
+
+    solo = _traced_result((0, 2))
+    comparison = StepParityComparison(engine="fake", seed=0)
+    _check_batched_parity(comparison, "gathered@4 seq1", solo,
+                          _traced_result((0, 2)))
+    assert comparison.ok
+
+    _check_batched_parity(comparison, "gathered@4 seq1", solo,
+                          _traced_result((0, 3)))
+    assert comparison.problems == [
+        "gathered@4 seq1: activation trace differs from solo generate()"
+    ]

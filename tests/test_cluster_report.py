@@ -18,7 +18,7 @@ def served(request_id, arrival, start, first, finish, n_generated=10,
            replica=0, warm=0.5):
     """A ClusterRequest with explicit timing."""
     return ClusterRequest(
-        request_id=request_id, arrival_s=arrival, start_s=start,
+        seq_id=request_id, arrival_s=arrival, service_start_s=start,
         first_token_s=first, finish_s=finish, n_prompt_tokens=8,
         n_generated=n_generated, energy_j=1.0, replica=replica,
         warm_hit_rate=warm,
@@ -31,7 +31,7 @@ def report():
     slo = SLOTarget(ttft_s=2.0, tpot_s=1.0)
     return ClusterReport(
         engine="daop", policy="round-robin", n_replicas=2, slo=slo,
-        requests=[
+        records=[
             # ttft 1.0, tpot 7/9 ≈ 0.78 -> meets SLO
             served(0, 0.0, 0.5, 1.0, 8.0, replica=0, warm=0.8),
             # ttft 5.0 -> misses SLO
@@ -60,8 +60,8 @@ class TestCounts:
 
 class TestSLO:
     def test_meets_slo(self, report):
-        assert report.meets_slo(report.requests[0])
-        assert not report.meets_slo(report.requests[1])
+        assert report.meets_slo(report.records[0])
+        assert not report.meets_slo(report.records[1])
 
     def test_attainment_over_offered(self, report):
         # 1 of 4 offered requests met SLO (rejections count as misses).

@@ -79,13 +79,13 @@ class TestLightLoad:
         for report in policy_reports.values():
             assert report.n_served == len(PATTERN)
             assert report.rejected == []
-            assert all(r.n_generated == 6 for r in report.requests)
+            assert all(r.n_generated == 6 for r in report.records)
 
     def test_request_invariants(self, policy_reports):
         for report in policy_reports.values():
-            for r in report.requests:
+            for r in report.records:
                 assert 0 <= r.replica < report.n_replicas
-                assert r.arrival_s <= r.start_s <= r.first_token_s \
+                assert r.arrival_s <= r.service_start_s <= r.first_token_s \
                     <= r.finish_s
                 assert 0.0 <= r.warm_hit_rate <= 1.0
                 assert 0.0 <= r.engine_hit_rate <= 1.0
@@ -93,25 +93,25 @@ class TestLightLoad:
     def test_no_overlap_per_replica(self, policy_reports):
         for report in policy_reports.values():
             for replica in range(report.n_replicas):
-                mine = sorted((r for r in report.requests
+                mine = sorted((r for r in report.records
                                if r.replica == replica),
-                              key=lambda r: r.start_s)
+                              key=lambda r: r.service_start_s)
                 for a, b in zip(mine, mine[1:]):
-                    assert b.start_s >= a.finish_s - 1e-12
+                    assert b.service_start_s >= a.finish_s - 1e-12
 
     def test_busy_time_matches_served_requests(self, policy_reports):
         for report in policy_reports.values():
             for replica in range(report.n_replicas):
-                served = sum(r.finish_s - r.start_s
-                             for r in report.requests
+                served = sum(r.finish_s - r.service_start_s
+                             for r in report.records
                              if r.replica == replica)
                 assert report.replica_busy_s[replica] \
                     == pytest.approx(served)
 
     def test_round_robin_alternates(self, policy_reports):
         replicas = [r.replica for r in sorted(
-            policy_reports["round-robin"].requests,
-            key=lambda r: r.request_id)]
+            policy_reports["round-robin"].records,
+            key=lambda r: r.seq_id)]
         assert replicas == [i % 2 for i in range(len(PATTERN))]
 
 
@@ -203,7 +203,7 @@ class TestRunRequests:
         simulator = ClusterSimulator(engines, None,
                                      build_policy("round-robin"))
         report = simulator.run_requests(specs)
-        served = {r.request_id: r for r in report.requests}
+        served = {r.seq_id: r for r in report.records}
         assert served[0].n_prompt_tokens == 12
         assert served[0].n_generated == 6
         assert served[1].n_prompt_tokens == 10
@@ -256,7 +256,7 @@ class TestCacheAffinityWins:
 
     def test_fewer_prefill_swaps_than_round_robin(self, policy_reports):
         swaps = {
-            name: sum(r.prefill_swaps for r in report.requests)
+            name: sum(r.prefill_swaps for r in report.records)
             for name, report in policy_reports.items()
         }
         assert swaps["cache-affinity"] < swaps["round-robin"]
@@ -306,29 +306,29 @@ class TestGangDispatch:
                                 "round-robin", rate=100.0)
         ganged = run_policy(tiny_bundle, platform, tiny_calibration,
                             "round-robin", rate=100.0, concurrency=3)
-        assert len(ganged.requests) == len(sequential.requests)
+        assert len(ganged.records) == len(sequential.records)
         assert ganged.ttft_percentile(95) < sequential.ttft_percentile(95)
         by_replica = {}
-        for r in ganged.requests:
+        for r in ganged.records:
             by_replica.setdefault(r.replica, []).append(r)
         overlapped = False
         for reqs in by_replica.values():
-            reqs.sort(key=lambda r: r.start_s)
+            reqs.sort(key=lambda r: r.service_start_s)
             overlapped = overlapped or any(
-                b.start_s < a.finish_s for a, b in zip(reqs, reqs[1:])
+                b.service_start_s < a.finish_s for a, b in zip(reqs, reqs[1:])
             )
         assert overlapped
         # Tokens served are identical either way.
-        assert sorted(r.n_generated for r in ganged.requests) == \
-            sorted(r.n_generated for r in sequential.requests)
+        assert sorted(r.n_generated for r in ganged.records) == \
+            sorted(r.n_generated for r in sequential.records)
 
     def test_gang_requests_pass_invariants(self, tiny_bundle, platform,
                                            tiny_calibration):
         report = run_policy(tiny_bundle, platform, tiny_calibration,
                             "cache-affinity", rate=100.0, concurrency=4)
-        for r in report.requests:
-            assert r.start_s >= r.arrival_s
-            assert r.start_s <= r.first_token_s <= r.finish_s
+        for r in report.records:
+            assert r.service_start_s >= r.arrival_s
+            assert r.service_start_s <= r.first_token_s <= r.finish_s
             assert 0.0 <= r.warm_hit_rate <= 1.0
 
 
@@ -360,10 +360,10 @@ class TestBatchHold:
         )
         assert len(held) >= 1
         assert held[0].payload["replica"] == 0
-        first = min(report.requests, key=lambda r: r.arrival_s)
+        first = min(report.records, key=lambda r: r.arrival_s)
         # The held request started when its batchmate arrived, not at
         # its own arrival and not at the full hold window.
-        assert first.start_s == pytest.approx(0.01)
+        assert first.service_start_s == pytest.approx(0.01)
         assert report.n_served == 2
 
     def test_lone_request_dispatches_at_window_end(
@@ -374,7 +374,7 @@ class TestBatchHold:
         )
         assert len(held) == 1
         assert held[0].payload["until_s"] == pytest.approx(0.5)
-        assert report.requests[0].start_s == pytest.approx(0.5)
+        assert report.records[0].service_start_s == pytest.approx(0.5)
         assert report.n_served == 1
 
     def test_window_end_terminates_on_inexact_arrival(
@@ -396,7 +396,7 @@ class TestBatchHold:
         )
         assert len(held) == 1
         assert report.n_served == 1
-        assert report.requests[0].start_s == pytest.approx(arrival + window)
+        assert report.records[0].service_start_s == pytest.approx(arrival + window)
 
     def test_no_hold_at_concurrency_one(self, tiny_bundle, platform,
                                         tiny_calibration):
@@ -407,7 +407,7 @@ class TestBatchHold:
             concurrency=1,
         )
         assert held == []
-        assert report.requests[0].start_s == pytest.approx(0.0)
+        assert report.records[0].service_start_s == pytest.approx(0.0)
 
     def test_no_hold_past_crossover(self, tiny_bundle, platform,
                                     tiny_calibration):
@@ -417,7 +417,7 @@ class TestBatchHold:
             AdmissionController(batch_hold_s=0.5, crossover_tokens=12),
         )
         assert held == []
-        assert report.requests[0].start_s == pytest.approx(0.0)
+        assert report.records[0].service_start_s == pytest.approx(0.0)
 
     def test_hold_off_is_byte_identical_to_baseline(
             self, tiny_bundle, platform, tiny_calibration):

@@ -29,7 +29,7 @@ def test_tokens_per_second():
     assert stats.tokens_per_second == pytest.approx(8 / 5.0)
     # The first generated token comes from the prefill logits, so only
     # n_generated - 1 tokens are produced by decode steps (matches
-    # ServedRequest.tpot_s).
+    # SequenceRecord.tpot_s).
     assert stats.decode_tokens_per_second == pytest.approx(7 / 4.0)
 
 

@@ -142,9 +142,9 @@ class TestServingObservation:
         arrivals = poisson_arrivals(0.05, 3, np.random.default_rng(5))
         report = simulator.run(arrivals, 10, 4)
         records = [
-            (r.request_id, r.arrival_s, r.start_s, r.first_token_s,
+            (r.seq_id, r.arrival_s, r.service_start_s, r.first_token_s,
              r.finish_s, r.n_generated, r.energy_j)
-            for r in report.requests
+            for r in report.records
         ]
         return records, [(e.kind, e.time_s, e.seq, tuple(sorted(
             e.payload.items()))) for e in seen]

@@ -19,6 +19,7 @@ from repro.events import CHECKPOINT_RESTORE, CHECKPOINT_SAVE
 from repro.serving import (
     CheckpointError,
     SERVING_KIND,
+    SIM_CHECKPOINT_VERSION,
     ServingSimulator,
     SimCheckpoint,
     load_checkpoint,
@@ -54,17 +55,17 @@ def make_specs(bundle, n=4, prompt_len=12, output_len=5, seed=7,
 def serving_records(report):
     """JSON-stable per-request tuples for bitwise comparison."""
     return [
-        (r.request_id, r.arrival_s, r.start_s, r.first_token_s,
+        (r.seq_id, r.arrival_s, r.service_start_s, r.first_token_s,
          r.finish_s, r.n_prompt_tokens, r.n_generated, r.energy_j)
-        for r in sorted(report.requests, key=lambda r: r.request_id)
+        for r in sorted(report.records, key=lambda r: r.seq_id)
     ]
 
 
 def cluster_records(report):
     return [
-        (r.request_id, r.replica, r.arrival_s, r.start_s,
+        (r.seq_id, r.replica, r.arrival_s, r.service_start_s,
          r.first_token_s, r.finish_s, r.n_generated, r.energy_j)
-        for r in sorted(report.requests, key=lambda r: r.request_id)
+        for r in sorted(report.records, key=lambda r: r.seq_id)
     ]
 
 
@@ -102,6 +103,17 @@ class TestSimCheckpointEnvelope:
         data["version"] = 99
         with pytest.raises(CheckpointError,
                            match="unsupported checkpoint version 99"):
+            SimCheckpoint.from_dict(data)
+
+    def test_version1_envelope_rejected(self):
+        """A well-formed version-1 envelope (pre-fold cluster record
+        keys) is refused, not misread."""
+        data = SimCheckpoint(kind=SERVING_KIND, engine="daop",
+                             payload={"scheduler": {}},
+                             version=1).to_dict()
+        assert SIM_CHECKPOINT_VERSION == 2
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1"):
             SimCheckpoint.from_dict(data)
 
     def test_corruption_rejected(self):
@@ -238,6 +250,31 @@ class TestClusterResumeParity:
         report = second.finish_session(resumed)
         assert cluster_records(report) == cluster_records(reference)
         assert report.to_json() == reference.to_json()
+
+    def test_records_round_trip_through_sequence_record_serializer(
+            self, tiny_bundle, platform, tiny_calibration):
+        """Cluster records checkpoint through the inherited
+        ``SequenceRecord`` serializer plus the four fleet fields."""
+        from repro.cluster import ClusterRequest
+        from repro.sched import SequenceRecord
+
+        simulator = self._simulator(tiny_bundle, platform, tiny_calibration)
+        session = simulator.begin_session(
+            make_specs(tiny_bundle, n=3, rate=0.02))
+        while not session.report.records:
+            simulator.tick(session)
+        checkpoint = json_round_trip(simulator.checkpoint(session))
+        records = checkpoint.payload["report"]["records"]
+        fleet = {"replica", "warm_hit_rate", "engine_hit_rate",
+                 "prefill_swaps"}
+        base = SequenceRecord(0, 0.0, 0.0, 0.0, 0.0, 1, 1, 0.0)
+        for payload in records:
+            assert set(payload) == set(base.to_state_dict()) | fleet
+            assert payload["result"] is None
+        restored = simulator.restore(checkpoint).report.records
+        assert restored == session.report.records
+        assert all(type(r) is ClusterRequest for r in restored)
+        assert [r.to_state_dict() for r in restored] == records
 
     def test_kind_mismatch_rejected_both_ways(
             self, tiny_bundle, platform, tiny_calibration):

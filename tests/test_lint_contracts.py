@@ -145,3 +145,23 @@ def test_guard_context_manager(
         assert guard.phase == "idle"
     # Fiddler never migrates, so the strictest contract passes.
     assert result.stats.counters.expert_uploads == 0
+
+
+def test_upload_checks_the_uploading_sequence_not_the_last_started(
+        tiny_bundle, platform, tiny_calibration, sequence,
+        engine_contracts):
+    # Under a scheduler several sequences are resident at once, and the
+    # engine's deprecated ``placement`` view follows only the
+    # last-started one: the budget check must read the uploader's own.
+    from repro.core.engine import SequenceRequest
+
+    engine = build("daop", tiny_bundle, platform, tiny_calibration)
+    engine_contracts(engine)
+    request = SequenceRequest(prompt_tokens=sequence.prompt_tokens,
+                              max_new_tokens=DECODE_LEN)
+    first = engine.start(request)
+    second = engine.start(request)
+    first.placement._on_gpu[:] = True
+    assert engine.placement is second.placement
+    with pytest.raises(ContractViolation, match="budget"):
+        engine._upload_expert(first, 0, 0, deps=[])

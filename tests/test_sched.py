@@ -348,7 +348,7 @@ def test_version2_checkpoint_rejected(daop, tiny_bundle):
     session = scheduler.begin(_requests(tiny_bundle, n=2))
     scheduler.tick(session)
     body = scheduler.checkpoint_session(session)
-    assert body["version"] == SCHED_CHECKPOINT_VERSION == 3
+    assert body["version"] == SCHED_CHECKPOINT_VERSION == 4
     del body["digest"]
     body["version"] = 2
     body["gathered_prefill"] = True
@@ -356,3 +356,37 @@ def test_version2_checkpoint_rejected(daop, tiny_bundle):
     with pytest.raises(ValueError,
                        match="unsupported scheduler-checkpoint version 2"):
         scheduler.restore_session(body)
+
+
+def _checkpoint_with_records(scheduler, tiny_bundle) -> dict:
+    """A between-ticks checkpoint holding at least one retired record."""
+    session = scheduler.begin(_requests(tiny_bundle, n=3))
+    while not session.report.records:
+        scheduler.tick(session)
+    return scheduler.checkpoint_session(session)
+
+
+def test_version3_checkpoint_rejected(daop, tiny_bundle):
+    """A well-formed version-3 checkpoint (records without
+    ``energy_j``) is refused, not misread."""
+    scheduler = ContinuousBatchScheduler(daop, max_batch=2)
+    body = _checkpoint_with_records(scheduler, tiny_bundle)
+    del body["digest"]
+    body["version"] = 3
+    for record in body["records"]:
+        del record["energy_j"]
+    body["digest"] = canonical_digest(body)
+    with pytest.raises(ValueError,
+                       match="unsupported scheduler-checkpoint version 3"):
+        scheduler.restore_session(body)
+
+
+def test_checkpoint_round_trips_record_energy(daop, tiny_bundle):
+    scheduler = ContinuousBatchScheduler(daop, max_batch=2)
+    body = _checkpoint_with_records(scheduler, tiny_bundle)
+    restored = scheduler.restore_session(body)
+    assert restored.report.records
+    for payload, record in zip(body["records"], restored.report.records):
+        assert record.energy_j == payload["energy_j"]
+        assert record.energy_j == record.result.stats.energy.total_j
+        assert record.to_state_dict() == payload

@@ -101,17 +101,17 @@ def served(tiny_bundle, platform, tiny_calibration):
 
 class TestServingSimulator:
     def test_all_requests_served(self, served):
-        assert served.n_requests == 6
-        assert all(r.n_generated == 6 for r in served.requests)
+        assert served.n_sequences == 6
+        assert all(r.n_generated == 6 for r in served.records)
 
     def test_fifo_no_overlap(self, served):
-        reqs = sorted(served.requests, key=lambda r: r.start_s)
+        reqs = sorted(served.records, key=lambda r: r.service_start_s)
         for a, b in zip(reqs, reqs[1:]):
-            assert b.start_s >= a.finish_s - 1e-12
+            assert b.service_start_s >= a.finish_s - 1e-12
 
     def test_request_invariants(self, served):
-        for r in served.requests:
-            assert r.start_s >= r.arrival_s
+        for r in served.records:
+            assert r.service_start_s >= r.arrival_s
             assert r.arrival_s <= r.first_token_s <= r.finish_s
             assert r.queue_delay_s >= 0
             assert r.ttft_s >= 0
@@ -129,6 +129,17 @@ class TestServingSimulator:
         assert served.throughput_tokens_per_s > 0
         assert served.tokens_per_kilojoule > 0
 
+    def test_energy_and_queue_aggregates(self, served):
+        """Each record's energy is its generation's; the report sums."""
+        for r in served.records:
+            assert r.energy_j == r.result.stats.energy.total_j
+        energy_kj = sum(r.energy_j for r in served.records) / 1e3
+        assert served.total_energy_kj == energy_kj
+        assert served.tokens_per_kilojoule == \
+            served.total_generated / energy_kj
+        assert served.mean_queue_delay_s == float(
+            np.mean([r.queue_delay_s for r in served.records]))
+
     def test_overload_grows_queue(self, tiny_bundle, platform,
                                   tiny_calibration):
         """Arrivals faster than service accumulate queue delay."""
@@ -140,7 +151,7 @@ class TestServingSimulator:
         fast = simulator.run(uniform_arrivals(100.0, 4), 12, 6)
         assert fast.mean_queue_delay_s > slow.mean_queue_delay_s
         # Last request in the overloaded trace waits behind all others.
-        assert fast.requests[-1].queue_delay_s > 0
+        assert fast.records[-1].queue_delay_s > 0
 
     def test_identical_work_across_engines(self, tiny_bundle, platform,
                                            tiny_calibration):
@@ -156,8 +167,8 @@ class TestServingSimulator:
         arrivals = uniform_arrivals(1.0, 3)
         ra = a.run(arrivals, 12, 6)
         rb = b.run(arrivals, 12, 6)
-        assert [r.n_prompt_tokens for r in ra.requests] == [
-            r.n_prompt_tokens for r in rb.requests
+        assert [r.n_prompt_tokens for r in ra.records] == [
+            r.n_prompt_tokens for r in rb.records
         ]
 
     def test_concurrency_must_be_positive(self, tiny_bundle, platform,
@@ -193,12 +204,13 @@ class TestServingSimulator:
         batched = run(4)
         assert batched.mean_queue_delay_s < solo.mean_queue_delay_s
         assert batched.ttft_percentile(95) < solo.ttft_percentile(95)
-        assert [r.n_generated for r in batched.requests] == [
-            r.n_generated for r in solo.requests
+        assert [r.n_generated for r in batched.records] == [
+            r.n_generated for r in solo.records
         ]
         # Service spans overlap under concurrency.
-        reqs = sorted(batched.requests, key=lambda r: r.start_s)
-        assert any(b.start_s < a.finish_s for a, b in zip(reqs, reqs[1:]))
+        reqs = sorted(batched.records, key=lambda r: r.service_start_s)
+        assert any(b.service_start_s < a.finish_s
+                   for a, b in zip(reqs, reqs[1:]))
 
     def test_uniform_run_wrapper_byte_identical(self, tiny_bundle,
                                                 platform,
@@ -207,7 +219,6 @@ class TestServingSimulator:
         pre-wrapper body's report exactly, field for field."""
         from repro.core.engine import SequenceRequest
         from repro.sched.scheduler import ContinuousBatchScheduler
-        from repro.serving.simulator import ServedRequest
 
         arrivals = bursty_arrivals(2.0, 5, np.random.default_rng(17),
                                    burst_size=2)
@@ -236,20 +247,11 @@ class TestServingSimulator:
         batch = ContinuousBatchScheduler(engine_b, max_batch=1).run(
             requests, arrival_times
         )
-        expected = [
-            ServedRequest(
-                request_id=rec.seq_id,
-                arrival_s=rec.arrival_s,
-                start_s=rec.service_start_s,
-                first_token_s=rec.first_token_s,
-                finish_s=rec.finish_s,
-                n_prompt_tokens=rec.n_prompt_tokens,
-                n_generated=rec.n_generated,
-                energy_j=rec.result.stats.energy.total_j,
-            )
-            for rec in batch.records
+        assert repr(report.records) == repr(batch.records)
+        assert report.to_json() == batch.to_json()
+        assert [r.energy_j for r in report.records] == [
+            r.result.stats.energy.total_j for r in batch.records
         ]
-        assert repr(report.requests) == repr(expected)
 
     def test_run_requests_heterogeneous(self, tiny_bundle, platform,
                                         tiny_calibration):
@@ -274,10 +276,10 @@ class TestServingSimulator:
                 forced_tokens=sequence.continuation_tokens,
             ))
         report = simulator.run_requests(specs)
-        generated = {r.request_id: r.n_generated for r in report.requests}
+        generated = {r.seq_id: r.n_generated for r in report.records}
         assert generated == {10: 3, 11: 6, 12: 4}
-        prompts = {r.request_id: r.n_prompt_tokens
-                   for r in report.requests}
+        prompts = {r.seq_id: r.n_prompt_tokens
+                   for r in report.records}
         assert prompts == {10: 8, 11: 14, 12: 10}
 
     def test_run_without_generator_raises(self, tiny_bundle, platform,
@@ -289,19 +291,20 @@ class TestServingSimulator:
             simulator.run(uniform_arrivals(1.0, 2), 8, 4)
 
     def test_empty_report(self):
-        from repro.serving.simulator import ServingReport
+        from repro.sched import BatchReport
 
-        report = ServingReport(engine="x")
+        report = BatchReport(engine="x", max_batch=1)
         assert report.makespan_s == 0.0
         assert report.throughput_tokens_per_s == 0.0
         assert report.mean_queue_delay_s == 0.0
+        assert report.total_energy_kj == 0.0
         assert report.tokens_per_kilojoule == 0.0
 
     def test_empty_report_percentiles(self):
         """Regression: percentiles of an empty report must not crash."""
-        from repro.serving.simulator import ServingReport
+        from repro.sched import BatchReport
 
-        report = ServingReport(engine="x")
+        report = BatchReport(engine="x", max_batch=1)
         assert report.ttft_percentile(50) == 0.0
         assert report.tpot_percentile(99) == 0.0
         assert report.latency_percentile(95) == 0.0
@@ -316,12 +319,12 @@ class TestPercentileOrZero:
 
     def test_one_definition_shared_by_every_report(self):
         import repro.cluster.report as cluster_report
+        import repro.sched.scheduler as scheduler
         import repro.serving as serving
-        import repro.serving.simulator as serving_simulator
         from repro.scenarios import percentile_or_zero
 
         assert serving.percentile_or_zero is percentile_or_zero
-        assert serving_simulator.percentile_or_zero is percentile_or_zero
+        assert scheduler.percentile_or_zero is percentile_or_zero
         assert cluster_report.percentile_or_zero is percentile_or_zero
 
     def test_matches_numpy_when_nonempty(self):
