@@ -39,7 +39,6 @@ from repro.audit.invariants import (
     check_counter_conservation,
     check_divergence_provenance,
     check_energy_consistency,
-    check_pending_uploads_resident,
     check_prefill_only_migration,
     check_timeline_causality,
     check_upload_placement,
@@ -80,7 +79,6 @@ __all__ = [
     "check_counter_conservation",
     "check_divergence_provenance",
     "check_energy_consistency",
-    "check_pending_uploads_resident",
     "check_prefill_only_migration",
     "check_timeline_causality",
     "check_upload_placement",

@@ -199,14 +199,6 @@ def block_divergence_accounting(result: GenerationResult) -> list:
     ]
 
 
-def _timeline_signature(result: GenerationResult) -> list:
-    """Per-op timeline fingerprint (resource, timing, kind, label)."""
-    return [
-        (op.resource, op.duration, op.start, op.end, op.kind, op.label)
-        for op in result.timeline.ops
-    ]
-
-
 def cache_parity_problems(baseline: GenerationResult,
                           cached: GenerationResult) -> list:
     """Bitwise differences between a cache-off and a cache-on generation.
@@ -229,7 +221,8 @@ def cache_parity_problems(baseline: GenerationResult,
             )
     if baseline.timeline.makespan != cached.timeline.makespan:
         problems.append("cache parity: makespan differs from cache-off run")
-    if _timeline_signature(baseline) != _timeline_signature(cached):
+    if timeline_signature(baseline.timeline) != \
+            timeline_signature(cached.timeline):
         problems.append(
             "cache parity: per-op timeline differs from cache-off run"
         )

@@ -315,24 +315,6 @@ def check_divergence_provenance(result: GenerationResult,
                        "predicted")
 
 
-def check_pending_uploads_resident(engine, report: AuditReport) -> None:
-    """Pending decode-migration uploads must name GPU-resident experts.
-
-    A re-allocation that swaps an expert back out purges its pending
-    upload; a surviving stale key would let a future activation depend on
-    an upload for weights that are no longer resident.
-    """
-    report.checks_run.append("pending-uploads-resident")
-    keys = getattr(engine, "pending_upload_keys", None)
-    if keys is None:
-        return
-    for block, expert in keys:
-        if not engine.placement.is_on_gpu(block, expert):
-            report.add("pending-uploads-resident",
-                       f"pending upload for E{expert}@B{block} but that "
-                       "expert is not GPU-resident")
-
-
 # ---- entry points ----------------------------------------------------------
 
 
@@ -390,15 +372,17 @@ def audit_generation(engine, result: GenerationResult,
     """Audit a generation with everything the live engine can tell us.
 
     Adds the engine-derived context :func:`audit_result` cannot infer
-    from the artifact alone: the initial placement, the prefill-only
-    promise, and (for DAOP) the pending-upload residency check.
+    from the artifact alone: the initial placement and the prefill-only
+    promise.  Both are engine configuration, not sequence state, so the
+    audit of one result never reads another sequence's state -- which
+    matters on batched and cluster runs, where one engine serves many
+    sequences.  (DAOP's pending-upload residency is enforced by the
+    engine itself, at the end of each decode re-allocation round.)
     """
-    report = audit_result(
+    return audit_result(
         result,
         engine_name=getattr(engine, "name", type(engine).__name__),
         initial_placement=getattr(engine, "initial_placement", None),
         platform=platform or getattr(engine, "platform", None),
         prefill_only_uploads=expects_prefill_only_uploads(engine),
     )
-    check_pending_uploads_resident(engine, report)
-    return report

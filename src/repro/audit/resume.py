@@ -4,8 +4,9 @@ The lifecycle stack's core invariant (see ``docs/lifecycle.md``) is that
 pausing is free: a run checkpointed at step *k*, serialized through JSON
 bytes, restored into a *freshly built* engine, and driven to completion
 must be bitwise identical to a run that never paused — same tokens,
-same counters, same per-op timeline.  This module audits that invariant
-for every engine, at both lifecycle layers:
+same counters, same activation trace, same per-op timeline.  This
+module audits that invariant for every engine, at both lifecycle
+layers:
 
 - **sequence layer** — ``start``/``step`` to a cut point, freeze via
   :meth:`~repro.core.engine.BaseEngine.checkpoint_sequence`, restore
@@ -111,6 +112,10 @@ def _check_result(comparison: ResumeParityComparison, path: str,
     if reference.stats.counters != resumed.stats.counters:
         comparison.problems.append(
             f"{path}: EngineCounters differ after resume"
+        )
+    if reference.trace.to_state_dict() != resumed.trace.to_state_dict():
+        comparison.problems.append(
+            f"{path}: activation trace differs after resume"
         )
     for attr in ("prefill_time_s", "total_time_s"):
         ref = getattr(reference.stats, attr)

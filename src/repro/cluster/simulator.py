@@ -80,7 +80,7 @@ from repro.serving.checkpoint import (
     SimCheckpoint,
 )
 from repro.workloads.generator import SequenceGenerator
-from repro.workloads.requests import RequestSpec
+from repro.workloads.requests import RequestSpec, uniform_request_specs
 
 
 def prefill_fingerprint(model, prompt_tokens: np.ndarray) -> np.ndarray:
@@ -232,43 +232,10 @@ class ClusterSimulator:
                 "run() needs a workload generator; construct the "
                 "simulator with one or call run_requests() directly"
             )
-        arrival_times = np.sort(
-            np.asarray(arrival_times, dtype=np.float64)
-        )
-        n_requests = arrival_times.size
-        if sample_indices is None:
-            sample_indices = list(range(n_requests))
-        if len(sample_indices) != n_requests:
-            raise ValueError(
-                "sample_indices must match arrival_times in length"
-            )
-
-        model = self.engines[0].model
-        sequences = {}
-        fingerprints = {}
-        for idx in sample_indices:
-            if idx not in sequences:
-                sequences[idx] = self.generator.sample_sequence(
-                    prompt_len, output_len, sample_idx=idx
-                )
-                fingerprints[idx] = prefill_fingerprint(
-                    model, sequences[idx].prompt_tokens
-                )
-        requests = {
-            i: RequestInfo(
-                request_id=i,
-                arrival_s=float(arrival_times[i]),
-                sample_idx=int(sample_indices[i]),
-                fingerprint=fingerprints[int(sample_indices[i])],
-            )
-            for i in range(n_requests)
-        }
-        payloads = {
-            idx: (sequence.prompt_tokens, sequence.continuation_tokens,
-                  output_len)
-            for idx, sequence in sequences.items()
-        }
-        return self._drain(self._begin(requests, payloads))
+        return self.run_requests(uniform_request_specs(
+            self.generator, arrival_times, prompt_len, output_len,
+            sample_indices,
+        ))
 
     def run_requests(self, specs: list[RequestSpec]) -> ClusterReport:
         """Simulate the fleet over fully-materialized requests.
@@ -321,18 +288,6 @@ class ClusterSimulator:
                 sample_idx=key,
                 fingerprint=fingerprints[key],
             )
-        return self._begin(requests, payloads)
-
-    def _begin(self, requests: dict, payloads: dict) -> ClusterSession:
-        """Build a fresh session over prepared requests.
-
-        Args:
-            requests: ``request_id -> RequestInfo``, inserted in arrival
-                order (ties broken by request id); each info's
-                ``sample_idx`` is the key of its payload.
-            payloads: payload key -> ``(prompt_tokens, forced_tokens,
-                output_len)`` served when a request dispatches.
-        """
         replicas = [ReplicaState() for _ in self.engines]
         warm = [placement.copy() for placement in self._base_placements]
         for engine, placement in zip(self.engines, warm):

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.allocation import SWAP_IN_OUT_DEFAULT, plan_block_swaps
 from repro.core.batching import CPU_LOC, GPU_LOC, BlockWork, ExpertCall
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.core.precalc import apply_graceful_degradation
 from repro.core.predictor import (
     PREDICTION_START_BLOCK_DEFAULT,
@@ -129,7 +129,7 @@ class DAOPEngine(BaseEngine):
             decode_realloc_max_swaps_per_block
         )
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         # Window and pending-upload map are used only when the decode
         # re-allocation extension is enabled; they live on the sequence
         # state so interleaved sequences never share migration state.
@@ -161,22 +161,9 @@ class DAOPEngine(BaseEngine):
             },
         )
 
-    @property
-    def pending_upload_keys(self) -> tuple[tuple[int, int], ...]:
-        """In-flight decode-migration uploads as ``(block, expert)`` keys.
-
-        Deprecated view of the most recently started sequence (like
-        :attr:`BaseEngine.placement`); every key must name a
-        GPU-resident expert, since a swap-out purges its pending upload
-        (audited by :mod:`repro.audit.invariants`).
-        """
-        if self._active_state is None or self._active_state.policy is None:
-            return ()
-        return tuple(sorted(self._active_state.policy.pending_uploads))
-
     # ---- prefill: Algorithm 1 ---------------------------------------------------
 
-    def _prepare_prefill_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_prefill_block(self, ctx: SequenceState, block_idx: int,
                                activated: np.ndarray, activity: np.ndarray,
                                deps: list[Op]) -> BlockPlan:
         if not self.enable_seq_allocation:
@@ -197,7 +184,7 @@ class DAOPEngine(BaseEngine):
 
     # ---- decode: predictive pre-calculation ---------------------------------------
 
-    def _decode_blocks(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks(self, ctx: SequenceState, token: int,
                        deps: list[Op]):
         """DAOP decode policy as a block-work generator.
 
@@ -206,7 +193,8 @@ class DAOPEngine(BaseEngine):
         step_batch`) can merge its routed expert executions with other
         sequences'; alone, they run in the order yielded.  The predictive
         pre-calculation round-trips stay per-sequence — they are policy-
-        internal work issued a block early, not routed executions.
+        internal work issued a block early, not routed executions — and
+        each runs through the shared CPU primitive as a one-member group.
         """
         if not self.enable_precalc:
             return (yield from self._decode_blocks_standard(ctx, token, deps))
@@ -234,8 +222,15 @@ class DAOPEngine(BaseEngine):
         self._after_decode_token(ctx, done)
         return h[-1], done
 
-    def _after_decode_token(self, ctx: _SequenceContext, done: Op) -> None:
-        """Decode re-allocation extension hook (no-op when disabled)."""
+    def _after_decode_token(self, ctx: SequenceState, done: Op) -> None:
+        """Decode re-allocation extension hook (no-op when disabled).
+
+        Raises:
+            RuntimeError: if a re-allocation round leaves a pending
+                upload for an expert that is not GPU-resident; a
+                future activation would then wait on an upload of
+                weights that are no longer on the device.
+        """
         if self.decode_realloc_interval is None:
             return
         counts = np.zeros(
@@ -265,19 +260,32 @@ class DAOPEngine(BaseEngine):
                 if plan.hot_activity >= self.decode_realloc_min_activity
             ][: self.decode_realloc_max_swaps_per_block]
             for plan in plans:
-                self._drop_expert(ctx, block_idx, plan.cold_expert)
-                # The swapped-out expert's weights are no longer resident:
-                # any still-pending upload of it must not survive as a
-                # dependency for a future activation.
-                policy.pending_uploads.pop((block_idx, plan.cold_expert),
-                                           None)
+                self._swap_out(ctx, block_idx, plan.cold_expert)
                 up = self._upload_expert(
                     ctx, block_idx, plan.hot_expert, [done]
                 )
                 policy.pending_uploads[(block_idx, plan.hot_expert)] = up
                 ctx.counters.decode_swaps += 1
+        for block_idx, expert in policy.pending_uploads:
+            if not ctx.placement.is_on_gpu(block_idx, expert):
+                raise RuntimeError(
+                    f"sequence {ctx.seq_id}: pending upload for "
+                    f"E{expert}@B{block_idx} but that expert is not "
+                    "GPU-resident"
+                )
 
-    def _issue_precalc(self, ctx: _SequenceContext, block_idx: int,
+    def _swap_out(self, ctx: SequenceState, block_idx: int,
+                  expert: int) -> None:
+        """Drop a decode-evicted expert and purge its pending upload.
+
+        The swapped-out expert's weights are no longer resident, so a
+        still-pending upload of it must not survive as a dependency for
+        a future activation.
+        """
+        self._drop_expert(ctx, block_idx, expert)
+        ctx.policy.pending_uploads.pop((block_idx, expert), None)
+
+    def _issue_precalc(self, ctx: SequenceState, block_idx: int,
                        h_att: np.ndarray, attn_op: Op):
         """Predict block ``block_idx + 1`` and start its CPU experts early.
 
@@ -309,14 +317,18 @@ class DAOPEngine(BaseEngine):
                 continue
             # Pre-calculate on the CPU from the *current* block's non-MoE
             # hidden states (one block stale -- the paper's approximation).
-            y, h2d = self._expert_cpu(
-                ctx, block_idx + 1, expert, h_att, [pred_gate],
-                stale_input=True,
+            call = ExpertCall(expert=expert, location=CPU_LOC, h_att=h_att,
+                              deps=(pred_gate,))
+            (y,) = self.model.blocks[block_idx + 1].expert_forward_rows(
+                expert, [(call.h_att, call.token_idx)]
             )
+            (h2d,) = self._expert_cpu([(ctx, call)], [y], call.n_rows,
+                                      block_idx + 1, expert)
+            ctx.counters.stale_input_execs += 1
             cpu_results[expert] = (y[0], h2d)
         return degradation.experts, prediction.logits, cpu_results
 
-    def _true_gated_work(self, ctx: _SequenceContext, block_idx: int,
+    def _true_gated_work(self, ctx: SequenceState, block_idx: int,
                          h_att: np.ndarray, attn_op: Op):
         """Blocks without a usable prediction run the original gate.
 
@@ -338,7 +350,7 @@ class DAOPEngine(BaseEngine):
         )
         return h, expert_ops
 
-    def _consume_pending_uploads(self, ctx: _SequenceContext, block_idx: int,
+    def _consume_pending_uploads(self, ctx: SequenceState, block_idx: int,
                                  experts) -> dict[int, list[Op]]:
         """Dependencies on in-flight decode-migration uploads."""
         extra: dict[int, list[Op]] = {}
@@ -350,7 +362,7 @@ class DAOPEngine(BaseEngine):
                 extra[int(expert)] = [pending]
         return extra
 
-    def _predicted_work(self, ctx: _SequenceContext, block_idx: int,
+    def _predicted_work(self, ctx: SequenceState, block_idx: int,
                         h_att: np.ndarray, attn_op: Op, carry):
         """Execute a block whose expert set was predicted one block ago.
 

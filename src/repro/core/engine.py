@@ -406,11 +406,6 @@ class SequenceState:
         return state
 
 
-#: Deprecated alias kept for code written against the pre-step-machine
-#: engine; new code should name :class:`SequenceState` directly.
-_SequenceContext = SequenceState
-
-
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one :meth:`BaseEngine.step` call.
@@ -489,25 +484,8 @@ class BaseEngine:
         #: Instance-scoped event bus; subscribers observe the sequence
         #: lifecycle (start / step / finish) without perturbing it.
         self.events = EventBus()
-        #: Most recently started sequence state (deprecated access path
-        #: for post-hoc inspection; see the ``placement`` property).
-        self._active_state: SequenceState | None = None
 
     # ---- public API ------------------------------------------------------------
-
-    @property
-    def placement(self) -> ExpertPlacement:
-        """Deprecated: the most recently started sequence's placement.
-
-        Residency now lives on each :class:`SequenceState` so multiple
-        sequences can interleave on one engine without corrupting each
-        other; this read-only view exists for the audit harness and
-        older tests that inspect placement right after a ``generate()``
-        call.  Engine policy code must use ``ctx.placement``.
-        """
-        if self._active_state is None:
-            return self.initial_placement
-        return self._active_state.placement
 
     def start(self, request: SequenceRequest,
               timeline: Timeline | None = None) -> SequenceState:
@@ -553,7 +531,6 @@ class BaseEngine:
             trace=ActivationTrace(self.model.n_blocks, self.model.n_experts),
             counters=EngineCounters(),
         )
-        self._active_state = state
         self._begin_sequence(state)
         if self.events.active:
             self.events.emit(
@@ -798,7 +775,6 @@ class BaseEngine:
             )
         state = SequenceState.from_state_dict(payload["state"], clock=clock)
         self._restore_policy(state, payload["policy"])
-        self._active_state = state
         return state
 
     # ---- policy hooks (subclasses override) -------------------------------------
@@ -835,7 +811,7 @@ class BaseEngine:
     def _device_spec(self, resource: str):
         return self.platform.gpu if resource == GPU else self.platform.cpu
 
-    def _attention(self, ctx: _SequenceContext, block_idx: int,
+    def _attention(self, ctx: SequenceState, block_idx: int,
                    h: np.ndarray, deps: list[Op],
                    phase: str) -> tuple[np.ndarray, Op]:
         """Non-MoE part of one block on the GPU (functional + timed)."""
@@ -869,7 +845,7 @@ class BaseEngine:
         )
         return h_att, op
 
-    def _gate(self, ctx: _SequenceContext, block_idx: int,
+    def _gate(self, ctx: SequenceState, block_idx: int,
               h_att: np.ndarray, deps: list[Op]) -> tuple[np.ndarray, Op]:
         """Router logits on the GPU (functional + timed)."""
         block = self.model.blocks[block_idx]
@@ -896,89 +872,25 @@ class BaseEngine:
         )
         return logits, op
 
-    def _expert_gpu(self, ctx: _SequenceContext, block_idx: int,
-                    expert: int, x: np.ndarray, deps: list[Op],
-                    token_idx: np.ndarray | None = None) -> tuple[np.ndarray, Op]:
-        """Execute one expert on the GPU.
-
-        ``token_idx`` optionally selects rows of ``x`` (the block-level
-        hidden states); passing the full array plus indices lets all
-        experts of a block share one ``ffn_norm``.
-        """
-        y = self.model.blocks[block_idx].expert_forward(
-            expert, x, token_idx=token_idx
-        )
-        n_tokens = x.shape[0] if token_idx is None else len(token_idx)
-        duration = self.framework_overhead_s + self.cost_model.expert_time(
-            self.platform.gpu, n_tokens
-        )
-        op = ctx.timeline.add(
-            GPU, duration, deps=deps,
-            label=f"E{expert}@B{block_idx} gpu", kind="expert_gpu",
-        )
-        ctx.counters.gpu_expert_execs += 1
-        return y, op
-
-    def _expert_cpu(self, ctx: _SequenceContext, block_idx: int,
-                    expert: int, x: np.ndarray, deps: list[Op],
-                    stale_input: bool = False,
-                    token_idx: np.ndarray | None = None) -> tuple[np.ndarray, Op]:
-        """Execute one expert on the CPU with activation round-trip.
-
-        The hidden states move device-to-host, the expert runs on the CPU,
-        and the result returns host-to-device; per the paper these
-        activation transfers are ~1/10000 the size of the expert weights.
-        ``token_idx`` optionally selects rows of ``x`` as in
-        :meth:`_expert_gpu`.  Returns the output and the H2D op that lands
-        it back on the GPU.
-        """
-        n_tokens = x.shape[0] if token_idx is None else len(token_idx)
-        d2h = ctx.timeline.add(
-            D2H,
-            self.framework_overhead_s
-            + self.cost_model.activation_transfer_time(n_tokens),
-            deps=deps, label=f"act>cpu B{block_idx}", kind="act_d2h",
-        )
-        y = self.model.blocks[block_idx].expert_forward(
-            expert, x, token_idx=token_idx
-        )
-        exec_op = ctx.timeline.add(
-            CPU,
-            self.framework_overhead_s
-            + self.cost_model.expert_time(self.platform.cpu, n_tokens),
-            deps=[d2h], label=f"E{expert}@B{block_idx} cpu", kind="expert_cpu",
-        )
-        h2d = ctx.timeline.add(
-            H2D,
-            self.framework_overhead_s
-            + self.cost_model.activation_transfer_time(n_tokens),
-            deps=[exec_op], label=f"act>gpu B{block_idx}", kind="act_h2d",
-        )
-        ctx.counters.cpu_expert_execs += 1
-        if stale_input:
-            ctx.counters.stale_input_execs += 1
-        return y, h2d
-
-    def _upload_expert(self, ctx: _SequenceContext, block_idx: int,
-                       expert: int, deps: list[Op],
-                       quant_ratio: float = 1.0) -> Op:
+    def _upload_expert(self, ctx: SequenceState, block_idx: int,
+                       expert: int, deps: list[Op]) -> Op:
         """Move one expert host -> device and mark it GPU-resident."""
         op = ctx.timeline.add(
             H2D,
             self.framework_overhead_s
-            + self.cost_model.expert_transfer_time(quant_ratio),
+            + self.cost_model.expert_transfer_time(),
             deps=deps, label=f"up E{expert}@B{block_idx}", kind="expert_upload",
         )
         ctx.placement.set_device(block_idx, expert, DeviceKind.GPU)
         ctx.counters.expert_uploads += 1
         return op
 
-    def _drop_expert(self, ctx: _SequenceContext, block_idx: int,
+    def _drop_expert(self, ctx: SequenceState, block_idx: int,
                      expert: int) -> None:
         """Free a device copy (host copy of inference weights stays valid)."""
         ctx.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
-    def _record_activation_counters(self, ctx: _SequenceContext,
+    def _record_activation_counters(self, ctx: SequenceState,
                                     block_idx: int,
                                     experts: np.ndarray) -> None:
         """Update GPU-residency hit counters for activated experts."""
@@ -993,7 +905,7 @@ class BaseEngine:
     # *before* each block's experts execute (migrations, uploads, swaps).
     # The hooks below express exactly that difference.
 
-    def _prepare_prefill_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_prefill_block(self, ctx: SequenceState, block_idx: int,
                                activated: np.ndarray, activity: np.ndarray,
                                deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a prefill block's activated experts.
@@ -1003,7 +915,7 @@ class BaseEngine:
         """
         return BlockPlan()
 
-    def _prepare_decode_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
                               activated: np.ndarray,
                               deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a decode block's activated experts."""
@@ -1016,7 +928,7 @@ class BaseEngine:
     # gathered driver (_step_gathered) runs them, merging same-expert
     # calls of all in-flight sequences into shared kernels.
 
-    def _prefill_blocks_standard(self, ctx: _SequenceContext,
+    def _prefill_blocks_standard(self, ctx: SequenceState,
                                  prompt_tokens: np.ndarray):
         """Shared prefill pass as a block-work generator.
 
@@ -1065,7 +977,7 @@ class BaseEngine:
 
     def _routed_block_work(
         self,
-        ctx: _SequenceContext,
+        ctx: SequenceState,
         block_idx: int,
         h_att: np.ndarray,
         experts_per_token: np.ndarray,
@@ -1120,7 +1032,7 @@ class BaseEngine:
         h_out = block.combine(h_att, outs, weights)
         return h_out, ops
 
-    def _decode_blocks_standard(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks_standard(self, ctx: SequenceState, token: int,
                                 deps: list[Op]):
         """Shared decode policy: true gate, experts run where they live.
 
@@ -1290,8 +1202,7 @@ class BaseEngine:
         — the gathered kernel's one batched matmul, evaluated segment by
         segment so each sequence's values (and compute-cache keys) stay
         bitwise identical to its solo run; the group's time is charged
-        once by :meth:`_gathered_expert_gpu` or
-        :meth:`_gathered_expert_cpu`.
+        once by :meth:`_expert_gpu` or :meth:`_expert_cpu`.
 
         Args:
             works: ``(state, BlockWork)`` per sequence, admission order.
@@ -1317,8 +1228,8 @@ class BaseEngine:
                 expert, [(call.h_att, call.token_idx) for _, call in members]
             )
             rows = sum(y.shape[0] for y in ys)
-            execute = (self._gathered_expert_gpu if location == GPU_LOC
-                       else self._gathered_expert_cpu)
+            execute = (self._expert_gpu if location == GPU_LOC
+                       else self._expert_cpu)
             ops = execute(members, ys, rows, block_idx, expert)
             for (i, j), y, op in zip(participants, ys, ops):
                 results[i][j] = (y, op)
@@ -1349,8 +1260,8 @@ class BaseEngine:
             gather_stats.prefill_expert_kernels += 1
             gather_stats.prefill_expert_ops += size
 
-    def _gathered_expert_gpu(self, members: list, ys: list, rows: int,
-                             block_idx: int, expert: int) -> list:
+    def _expert_gpu(self, members: list, ys: list, rows: int,
+                    block_idx: int, expert: int) -> list:
         """One gathered GPU expert kernel over all participants' rows.
 
         The kernel is charged once at the cost model's batched time
@@ -1379,8 +1290,8 @@ class BaseEngine:
             state.counters.gpu_expert_execs += 1
         return ops
 
-    def _gathered_expert_cpu(self, members: list, ys: list, rows: int,
-                             block_idx: int, expert: int) -> list:
+    def _expert_cpu(self, members: list, ys: list, rows: int,
+                    block_idx: int, expert: int) -> list:
         """One gathered CPU expert execution with batched round-trips.
 
         The three stages of a CPU expert call (activations device-to-host,
@@ -1388,8 +1299,11 @@ class BaseEngine:
         transfer/kernel over every participant's rows, sliced into
         per-sequence ops exactly like the GPU path; each stage's lane is
         held to the previous stage's group barrier (unneeded for a lone
-        participant, whose dependencies already chain the stages).
-        Returns each member's final host-to-device op.
+        participant, whose dependencies already chain the stages).  Per
+        the paper the activation transfers are ~1/10000 the size of the
+        expert weights.  DAOP's predictive pre-calculation calls this
+        with a single member.  Returns each member's final host-to-device
+        op.
         """
         act_total = (
             self.framework_overhead_s
@@ -1466,7 +1380,7 @@ class BaseEngine:
     # Default implementations: engines that follow the standard dataflow
     # simply inherit these.
 
-    def _prefill_blocks(self, ctx: _SequenceContext,
+    def _prefill_blocks(self, ctx: SequenceState,
                         prompt_tokens: np.ndarray):
         """Policy hook: the prefill block-work generator for one prompt.
 
@@ -1477,7 +1391,7 @@ class BaseEngine:
         """
         return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
 
-    def _decode_blocks(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks(self, ctx: SequenceState, token: int,
                        deps: list[Op]):
         """Policy hook: the decode block-work generator for one token.
 

@@ -110,7 +110,6 @@ class EngineContractGuard:
         self.slot_budget = slot_budget
         self.check_timeline = check_timeline
         self.slot_slack = slot_slack
-        self.phase = "idle"
         self._originals = {}
 
     # ---- lifecycle -----------------------------------------------------------
@@ -150,37 +149,27 @@ class EngineContractGuard:
     # ---- guarded methods -----------------------------------------------------
 
     def _guarded_generate(self, original, *args, **kwargs):
-        self.phase = "prefill"
-        try:
-            result = original(*args, **kwargs)
-        finally:
-            self.phase = "idle"
+        result = original(*args, **kwargs)
         if self.check_timeline:
             validate_timeline(result.timeline)
         if self.slot_budget:
             self._check_slots(result.placement)
         return result
 
-    def _guarded_upload(self, original, *args, **kwargs):
+    def _guarded_upload(self, original, ctx, *args, **kwargs):
         # The uploading sequence state carries its own phase and
         # placement, which stay correct when a scheduler interleaves
         # several sequences (one may be in decode while another is
-        # still prefilling, and the engine's deprecated ``placement``
-        # view follows only the last-started one); the guard-level
-        # phase and that view are the fallback for direct primitive
-        # calls.
-        ctx = args[0] if args else None
-        phase = getattr(ctx, "phase", self.phase)
-        if self.prefill_only and phase == "decode":
+        # still prefilling).
+        if self.prefill_only and ctx.phase == "decode":
             raise ContractViolation(
                 f"engine '{self.engine.name}' uploaded an expert during "
                 "decode, but migration is restricted to prefill "
                 "(SS IV-B, decode_realloc_interval is None)"
             )
-        op = original(*args, **kwargs)
+        op = original(ctx, *args, **kwargs)
         if self.slot_budget:
-            self._check_slots(getattr(ctx, "placement",
-                                      self.engine.placement))
+            self._check_slots(ctx.placement)
         return op
 
     def _check_slots(self, placement) -> None:

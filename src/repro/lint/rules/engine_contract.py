@@ -44,12 +44,10 @@ import ast
 from repro.lint.registry import LintContext, Rule, dotted_name, register
 
 #: Modules that implement DAOP's data-aware migration machinery.
-_MIGRATION_MODULES = ("repro.core.allocation", "repro.memory.migration")
+_MIGRATION_MODULES = ("repro.core.allocation",)
 
 #: Names from those modules that baselines must never touch.
-_MIGRATION_NAMES = frozenset({
-    "plan_block_swaps", "SwapPlan", "MigrationEngine", "MigrationRecord",
-})
+_MIGRATION_NAMES = frozenset({"plan_block_swaps", "SwapPlan"})
 
 #: BaseEngine substrate primitives baselines may use but never redefine.
 #: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
@@ -66,8 +64,7 @@ _SUBSTRATE_METHODS = frozenset({
     "_record_activation_counters", "_prefill_blocks_standard",
     "_decode_blocks_standard", "_routed_block_work", "_step_gathered",
     "_execute_block_work_gathered", "_group_barrier", "_share",
-    "_note_gathered_kernel", "_gathered_expert_gpu",
-    "_gathered_expert_cpu", "_device_spec",
+    "_note_gathered_kernel", "_device_spec",
 })
 
 #: The checkpoint policy-hook pair every engine implements together.

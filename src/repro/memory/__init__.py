@@ -1,4 +1,4 @@
-"""Expert placement, cache sizing/initialization, and migration."""
+"""Expert placement and cache sizing/initialization."""
 
 from repro.memory.cache import (
     CacheConfig,
@@ -7,7 +7,6 @@ from repro.memory.cache import (
 )
 from repro.memory.lru import LRUExpertCache
 from repro.memory.policies import LFU, LRU, POLICIES, PRIORITY, EvictionPolicyCache
-from repro.memory.migration import MigrationEngine, MigrationRecord
 from repro.memory.placement import ExpertPlacement
 
 __all__ = [
@@ -20,7 +19,5 @@ __all__ = [
     "POLICIES",
     "PRIORITY",
     "EvictionPolicyCache",
-    "MigrationEngine",
-    "MigrationRecord",
     "ExpertPlacement",
 ]

@@ -36,7 +36,7 @@ from repro.serving.checkpoint import (
     SimCheckpoint,
 )
 from repro.workloads.generator import SequenceGenerator
-from repro.workloads.requests import RequestSpec
+from repro.workloads.requests import RequestSpec, uniform_request_specs
 
 
 @dataclass
@@ -98,35 +98,19 @@ class ServingSimulator:
             output_len: int) -> BatchReport:
         """Serve one uniform-length request per arrival time.
 
-        Requests are generated deterministically from the simulator's
-        workload generator (request ``i`` uses ``sample_idx=i``), so two
-        engines given the same arrival trace serve identical work.  This
-        is a thin wrapper over :meth:`run_requests` and is byte-identical
-        to the historical uniform-length behavior.
+        Requests come from the simulator's workload generator via
+        :func:`~repro.workloads.requests.uniform_request_specs` (request
+        ``i`` uses ``sample_idx=i``), so two engines given the same
+        arrival trace serve identical work.
         """
         if self.generator is None:
             raise ValueError(
                 "run() needs a workload generator; construct the "
                 "simulator with one or call run_requests() directly"
             )
-        arrival_times = np.sort(np.asarray(arrival_times, dtype=np.float64))
-        specs = []
-        for i, arrival in enumerate(arrival_times):
-            sequence = self.generator.sample_sequence(
-                prompt_len, output_len, sample_idx=i
-            )
-            specs.append(
-                RequestSpec(
-                    request_id=i,
-                    arrival_s=float(arrival),
-                    prompt_tokens=sequence.prompt_tokens,
-                    output_len=output_len,
-                    forced_tokens=sequence.continuation_tokens,
-                    dataset=self.generator.spec.name,
-                    sample_idx=i,
-                )
-            )
-        return self.run_requests(specs)
+        return self.run_requests(uniform_request_specs(
+            self.generator, arrival_times, prompt_len, output_len
+        ))
 
     def run_requests(self, specs: list[RequestSpec]) -> BatchReport:
         """Serve fully-materialized requests; returns the batch report.

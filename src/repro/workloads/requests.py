@@ -118,6 +118,56 @@ class RequestSpec:
         return b"|".join([self.prompt_tokens.tobytes(), forced])
 
 
+def uniform_request_specs(generator, arrival_times, prompt_len: int,
+                          output_len: int,
+                          sample_indices=None) -> list:
+    """One uniform-length :class:`RequestSpec` per arrival time.
+
+    Arrival times are sorted; request ``i`` arrives at the ``i``-th
+    earliest time and serves ``generator.sample_sequence(prompt_len,
+    output_len, sample_idx=sample_indices[i])`` with the sequence's
+    continuation as forced tokens, so every engine or policy given the
+    same trace serves byte-identical work.
+
+    Args:
+        generator: a :class:`~repro.workloads.generator.SequenceGenerator`.
+        arrival_times: request arrival times in simulated seconds.
+        prompt_len: prompt length of every request.
+        output_len: decode length of every request.
+        sample_indices: workload sample index per request; defaults to
+            ``0..n-1``.  Repeating indices builds similarity-clustered
+            traffic (sticky sessions, shared templates).
+
+    Raises:
+        ValueError: if ``sample_indices`` and ``arrival_times`` differ in
+            length.
+    """
+    arrival_times = np.sort(np.asarray(arrival_times, dtype=np.float64))
+    if sample_indices is None:
+        sample_indices = range(arrival_times.size)
+    if len(sample_indices) != arrival_times.size:
+        raise ValueError("sample_indices must match arrival_times in length")
+    sequences = {}
+    specs = []
+    for i, (arrival, idx) in enumerate(zip(arrival_times, sample_indices)):
+        idx = int(idx)
+        if idx not in sequences:
+            sequences[idx] = generator.sample_sequence(
+                prompt_len, output_len, sample_idx=idx
+            )
+        sequence = sequences[idx]
+        specs.append(RequestSpec(
+            request_id=i,
+            arrival_s=float(arrival),
+            prompt_tokens=sequence.prompt_tokens,
+            output_len=output_len,
+            forced_tokens=sequence.continuation_tokens,
+            dataset=generator.spec.name,
+            sample_idx=idx,
+        ))
+    return specs
+
+
 def slo_targets(slo_class: str) -> tuple:
     """``(ttft_s, tpot_s)`` latency targets of one SLO class (seconds)."""
     try:

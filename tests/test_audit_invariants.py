@@ -7,7 +7,6 @@ from repro.audit import (
     AuditReport,
     audit_generation,
     check_divergence_provenance,
-    check_pending_uploads_resident,
     check_prefill_only_migration,
     check_timeline_causality,
     expects_prefill_only_uploads,
@@ -140,28 +139,6 @@ def test_expects_prefill_only_uploads_mapping(tiny_bundle, platform,
                          calibration_probs=tiny_calibration,
                          decode_realloc_interval=4)
     assert expects_prefill_only_uploads(realloc) is False
-
-
-def test_stale_pending_upload_detected():
-    class FakePlacement:
-        def is_on_gpu(self, block, expert):
-            return False
-
-    class FakeEngine:
-        pending_upload_keys = ((0, 3),)
-        placement = FakePlacement()
-
-    report = AuditReport(engine="fake")
-    check_pending_uploads_resident(FakeEngine(), report)
-    assert not report.ok
-    assert "E3@B0" in report.violations[0].format()
-
-
-def test_engines_without_pending_uploads_skip_the_check():
-    report = AuditReport(engine="plain")
-    check_pending_uploads_resident(object(), report)
-    assert report.ok
-    assert "pending-uploads-resident" in report.checks_run
 
 
 def test_report_format_mentions_engine_and_violations():

@@ -148,3 +148,33 @@ class TestResumeParityAudit:
         assert not report.ok
         assert any("EngineCounters" in p for p in report.problems)
         assert "FAILURES" in report.format()
+
+    def test_detects_a_perturbed_trace_event(self, tiny_bundle, platform,
+                                             tiny_calibration, monkeypatch):
+        """A resumed trace differing in one event must fail the audit.
+
+        The routing trace is pure record-keeping, so tokens, counters
+        and timeline all still match; only the trace comparison sees it.
+        """
+        import dataclasses
+
+        from repro.core.engine import BaseEngine
+
+        original = BaseEngine.restore_sequence
+
+        def perturbed(self, payload, clock=None):
+            state = original(self, payload, clock=clock)
+            event = state.trace.events[0]
+            state.trace.events[0] = dataclasses.replace(
+                event, token_pos=event.token_pos + 1000)
+            return state
+
+        monkeypatch.setattr(BaseEngine, "restore_sequence", perturbed)
+        report = run_resume_parity_audit(
+            tiny_bundle, platform, engine_names=["fiddler"],
+            seeds=(0,), prompt_len=12, max_new_tokens=6,
+            calibration_probs=tiny_calibration,
+        )
+        assert not report.ok
+        assert all("activation trace differs" in p
+                   for p in report.problems)

@@ -9,10 +9,25 @@ import numpy as np
 import pytest
 
 from repro.core.daop import DAOPEngine
+from repro.core.engine import SequenceRequest
 from repro.memory.cache import CacheConfig
 from repro.workloads import GSM8K, SequenceGenerator
 
 DRIFTY = GSM8K.with_overrides(drift_rate=0.15)
+
+#: Re-allocation settings loose enough that a round swaps out an expert
+#: whose upload is still pending (the case the purge exists for).
+CHURN = dict(decode_realloc_interval=4, decode_realloc_window=4,
+             decode_realloc_min_activity=0.0,
+             decode_realloc_threshold=1.01)
+
+
+def start(engine, seq, max_new_tokens):
+    """Start one drifting sequence so a test can step its state."""
+    return engine.start(SequenceRequest(
+        prompt_tokens=seq.prompt_tokens, max_new_tokens=max_new_tokens,
+        forced_tokens=seq.continuation_tokens,
+    ))
 
 
 def make(tiny_bundle, platform, tiny_calibration, **kw):
@@ -105,9 +120,11 @@ def test_decode_window_matches_trace(tiny_bundle, platform,
     """
     engine = make(tiny_bundle, platform, tiny_calibration,
                   decode_realloc_interval=8, decode_realloc_window=6)
-    seq = drifty_sequences[0]
-    result = engine.generate(seq.prompt_tokens, 16,
-                             forced_tokens=seq.continuation_tokens)
+    state = start(engine, drifty_sequences[0], 16)
+    while not state.done:
+        engine.step(state)
+    window = list(state.policy.window)
+    result = engine.finish(state)
     per_token = {}
     for event in result.trace.events:
         if event.phase != "decode":
@@ -119,7 +136,6 @@ def test_decode_window_matches_trace(tiny_bundle, platform,
         for expert in event.experts:
             counts[event.block, expert] += 1.0
     expected = [per_token[pos] for pos in sorted(per_token)][-6:]
-    window = list(engine._active_state.policy.window)
     assert len(window) == len(expected)
     for got, want in zip(window, expected):
         np.testing.assert_array_equal(got, want)
@@ -129,16 +145,51 @@ def test_pending_uploads_stay_gpu_resident(tiny_bundle, platform,
                                            tiny_calibration,
                                            drifty_sequences):
     """A swap-out must purge any in-flight upload of the evicted expert."""
-    engine = make(tiny_bundle, platform, tiny_calibration,
-                  decode_realloc_interval=4)
+    engine = make(tiny_bundle, platform, tiny_calibration, **CHURN)
     for seq in drifty_sequences:
-        engine.generate(seq.prompt_tokens, 24,
-                        forced_tokens=seq.continuation_tokens)
-        for block, expert in engine.pending_upload_keys:
-            assert engine.placement.is_on_gpu(block, expert), (
-                f"pending upload for E{expert}@B{block} references a "
-                "non-resident expert"
-            )
+        state = start(engine, seq, 48)
+        while not state.done:
+            engine.step(state)
+            for block, expert in state.policy.pending_uploads:
+                assert state.placement.is_on_gpu(block, expert), (
+                    f"pending upload for E{expert}@B{block} references a "
+                    "non-resident expert"
+                )
+
+
+def test_stale_pending_upload_detected(tiny_bundle, platform,
+                                       tiny_calibration, drifty_sequences):
+    """A re-allocation round names the non-resident pending upload."""
+    engine = make(tiny_bundle, platform, tiny_calibration,
+                  decode_realloc_interval=1)
+    state = start(engine, drifty_sequences[0], 4)
+    engine.step(state)  # prefill
+    # The last block is predicted, and a predicted block consumes pending
+    # uploads of GPU-resident experts only, so the stale key survives to
+    # the end-of-token round.  A one-token window stays below the
+    # minimum decode activity, so that round swaps nothing in.
+    block = engine.model.n_blocks - 1
+    expert = next(e for e in range(engine.model.n_experts)
+                  if not state.placement.is_on_gpu(block, e))
+    state.policy.pending_uploads[(block, expert)] = state.last_op
+    with pytest.raises(RuntimeError, match=f"E{expert}@B{block} but"):
+        engine.step(state)
+
+
+def test_stale_pending_upload_raises_without_purge(
+        tiny_bundle, platform, tiny_calibration, drifty_sequences,
+        monkeypatch):
+    """Without the swap-out purge, a re-allocation round must fail loudly."""
+    monkeypatch.setattr(
+        DAOPEngine, "_swap_out",
+        lambda self, ctx, block_idx, expert:
+            self._drop_expert(ctx, block_idx, expert),
+    )
+    engine = make(tiny_bundle, platform, tiny_calibration, **CHURN)
+    with pytest.raises(RuntimeError, match="not GPU-resident"):
+        for seq in drifty_sequences:
+            engine.generate(seq.prompt_tokens, 48,
+                            forced_tokens=seq.continuation_tokens)
 
 
 def test_realloc_passes_invariant_audit(tiny_bundle, platform,

@@ -167,7 +167,7 @@ def test_baseline_may_not_override_substrate_primitives():
         class Sneaky(BaseEngine):
             """Doc."""
 
-            def _expert_gpu(self, ctx, block_idx, expert, x, deps):
+            def _expert_gpu(self, members, ys, rows, block_idx, expert):
                 """Doc."""
                 return None
 
@@ -178,6 +178,25 @@ def test_baseline_may_not_override_substrate_primitives():
     diags = lint(source, path=BASELINE, select=["substrate-override"])
     assert codes(diags) == {"ENG002"}
     assert len(diags) == 1  # the hook override is allowed
+
+
+def test_engine_contract_tables_name_live_code():
+    """ENG001/ENG002 data must track the code it guards.
+
+    A deleted module, planner name or substrate method left in a table
+    would make the rule guard nothing without failing.
+    """
+    import importlib
+
+    from repro.core.engine import BaseEngine
+    from repro.lint.rules import engine_contract
+
+    modules = [importlib.import_module(name)
+               for name in engine_contract._MIGRATION_MODULES]
+    for name in engine_contract._MIGRATION_NAMES:
+        assert any(name in vars(module) for module in modules), name
+    for name in engine_contract._SUBSTRATE_METHODS:
+        assert callable(getattr(BaseEngine, name, None)), name
 
 
 def test_private_substrate_access_flagged_only_off_self():
