@@ -7,11 +7,14 @@ block exposes each stage as its own method instead of a single ``forward``.
 Every stage is *cache-aware*: when a content-addressed compute cache
 (duck-typed ``repro.perf.TensorCache``) is attached via
 :meth:`set_compute_cache` — normally through
-``MoETransformer.attach_compute_cache`` — each stage first looks up the
-digest of its inputs and only computes on a miss.  Because the stages are
-pure functions of their input bytes and the block weights, a hit is
-bitwise-identical to recomputation; with no cache attached the stages
-compute directly, unchanged.
+``MoETransformer.attach_compute_cache`` — each stage first looks up a
+tuple key ``(scope, block_idx, stage, ...)`` naming its inputs by
+content and only computes on a miss.  Array inputs enter the key as
+16-byte digests, each activation hashed once per block step and shared
+by every stage that reads it.  Because the stages are pure functions of
+their input bytes and the block weights, a hit is bitwise-identical to
+recomputation; with no cache attached the stages compute directly,
+unchanged.
 """
 
 from __future__ import annotations
@@ -60,10 +63,13 @@ class MoEBlock:
         # rounds interleave many sequences' arrays through one block,
         # which thrashes a single slot).  None -> one-slot fallback.
         self._norm_lru = None
-        # One-slot identity memo for hidden-state digests: the gate, the
+        # Identity LRU of post-attention digests (uncounted, from the
+        # attached cache's ``identity_memo`` factory): the gate, the
         # routed experts, and ffn_norm all key on the same h_att object,
-        # which therefore only needs hashing once per block step.
-        self._digest_memo: tuple[np.ndarray, bytes] | None = None
+        # which therefore only needs hashing once per block step, even
+        # when a gathered round interleaves several sequences through the
+        # block.  None (no factory) -> every digest is computed.
+        self._digest_lru = None
 
     # ---- compute-cache plumbing ----------------------------------------------
 
@@ -77,19 +83,21 @@ class MoEBlock:
         self.compute_cache = cache
         self.cache_scope = scope
         self._norm_memo = None
-        self._digest_memo = None
         memo_factory = getattr(cache, "identity_memo", None)
-        self._norm_lru = (
-            memo_factory("ffn_norm") if memo_factory is not None else None
-        )
+        if memo_factory is None:
+            self._norm_lru = self._digest_lru = None
+        else:
+            self._norm_lru = memo_factory("ffn_norm")
+            self._digest_lru = memo_factory(None)
 
     def _arr_digest(self, arr: np.ndarray) -> bytes:
         """Content digest of one array, memoized by object identity."""
-        memo = self._digest_memo
-        if memo is not None and memo[0] is arr:
-            return memo[1]
-        digest = self.compute_cache.key(arr)
-        self._digest_memo = (arr, digest)
+        lru = self._digest_lru
+        if lru is None:
+            return self.compute_cache.key(arr)
+        digest = lru.get(arr)
+        if digest is None:
+            digest = lru.put(arr, self.compute_cache.key(arr))
         return digest
 
     def weight_arrays(self) -> list[np.ndarray]:
@@ -125,9 +133,12 @@ class MoEBlock:
         if tensor_cache is None or kv_digest is None:
             attn_out = self.attention(self.attn_norm(h), cache, positions)
             return h + self.residual_scale * attn_out
-        key = tensor_cache.key(
+        # ``h`` is read by this stage alone, so it is hashed directly
+        # rather than through the digest memo (as are the gate logits).
+        key = (
             self.cache_scope, self.block_idx, "attn", kv_digest,
-            self._arr_digest(h), np.asarray(positions),
+            tensor_cache.key(h),
+            np.asarray(positions, dtype=np.int64).tobytes(),
         )
         hit = tensor_cache.get(key, "attn")
         if hit is not None:
@@ -167,7 +178,7 @@ class MoEBlock:
         if tensor_cache is None:
             normed = self.ffn_norm(h_att)
         else:
-            key = tensor_cache.key(
+            key = (
                 self.cache_scope, self.block_idx, "ffn_norm",
                 self._arr_digest(h_att),
             )
@@ -186,7 +197,7 @@ class MoEBlock:
         tensor_cache = self.compute_cache
         if tensor_cache is None:
             return self.router.logits(self.ffn_normed(h_att))
-        key = tensor_cache.key(
+        key = (
             self.cache_scope, self.block_idx, "gate", self._arr_digest(h_att)
         )
         logits = tensor_cache.get(key, "gate")
@@ -207,7 +218,9 @@ class MoEBlock:
         tensor_cache = self.compute_cache
         if tensor_cache is None:
             return self.router.route_from_logits(logits)
-        key = tensor_cache.key(self.cache_scope, self.block_idx, "route", logits)
+        key = (
+            self.cache_scope, self.block_idx, "route", tensor_cache.key(logits)
+        )
         hit = tensor_cache.get(key, "route")
         if hit is None:
             decision = self.router.route_from_logits(logits)
@@ -248,9 +261,10 @@ class MoEBlock:
         # shape already folded into the array digest) so a gathered
         # ``[batch*k, d]`` input can never alias a ``[k, d]``
         # single-sequence digest.
-        key = tensor_cache.key(
+        key = (
             self.cache_scope, self.block_idx, "expert", int(expert_idx),
-            int(h_att.shape[0]), self._arr_digest(h_att), token_idx,
+            int(h_att.shape[0]), self._arr_digest(h_att),
+            None if token_idx is None else token_idx.tobytes(),
         )
         out = tensor_cache.get(key, "expert")
         if out is None:

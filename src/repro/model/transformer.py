@@ -70,7 +70,9 @@ class MoETransformer:
 
         ``cache`` is duck-typed (``key``/``get``/``put`` — normally a
         ``repro.perf.TensorCache``) so the model layer never imports the
-        perf package.  Keys are namespaced by :meth:`weights_fingerprint`.
+        perf package.  Stage keys are tuples that lead with
+        :meth:`weights_fingerprint`, with each array input folded to its
+        ``cache.key`` digest.
         """
         scope = self.weights_fingerprint()
         self.compute_cache = cache
@@ -129,7 +131,7 @@ class MoETransformer:
         cache = self.compute_cache
         if cache is None:
             return self.final_norm(h) @ self.embedding.T
-        key = cache.key(self.weights_fingerprint(), "lm_head", h)
+        key = (self.weights_fingerprint(), "lm_head", cache.key(h))
         logits = cache.get(key, "lm_head")
         if logits is None:
             logits = cache.put(

@@ -10,7 +10,10 @@ for solo execution, but gathered cross-sequence rounds interleave many
 sequences' arrays through one block, evicting a single slot almost every
 call (BENCH_compute measured a 3.3% ffn_norm stage hit rate against
 84–93% for the digest-keyed stages).  A small LRU keyed by ``id()``
-keeps every in-flight sequence's entry live at once.
+keeps every in-flight sequence's entry live at once.  The same LRU,
+uncounted, memoizes ``MoEBlock``'s post-attention key digest, so the
+array read by the gate, ``ffn_norm`` and every routed expert is hashed
+once even when a gathered round interleaves sequences.
 
 Entries hold strong references to their input arrays, which is what
 makes ``id()`` a safe key: a memoized input cannot be garbage collected

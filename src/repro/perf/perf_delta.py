@@ -17,7 +17,12 @@ Two artifact kinds are understood, auto-detected by shape:
   continuous-batch scheduler owns;
 - **compute** (``repro bench-compute --json``): the warm-cache speedups
   (``differential_audit.speedup``, ``ecr_sweep.speedup``) — the
-  simulator's own wall-clock win from the tensor cache.
+  simulator's own wall-clock win from the tensor cache — gated at the
+  threshold, plus each section's cache counters (``cache``,
+  ``stages_cold``, ``stages_warm``), gated for exact equality: hits,
+  misses, memo hits, entries and bytes are deterministic functions of
+  the workload, so any difference means the cache keys or the stage
+  calls changed.
 
 A configuration present in the baseline but missing from the candidate
 is a structural failure, not a skip: a dropped run could hide exactly
@@ -32,6 +37,10 @@ from dataclasses import dataclass, field
 
 #: Default maximum tolerated relative regression (15%).
 DEFAULT_THRESHOLD = 0.15
+
+#: Deterministic counter blocks of a bench-compute section, which
+#: :func:`diff_compute_bench` requires to match exactly.
+COMPUTE_COUNTER_FIELDS = ("cache", "stages_cold", "stages_warm")
 
 #: Artifact kinds :func:`detect_kind` can name.
 BATCH_BENCH = "batch"
@@ -168,10 +177,34 @@ def diff_batch_bench(baseline: dict, candidate: dict,
     return report
 
 
+def _leaves(value, prefix: str = "") -> dict:
+    """Flatten nested dicts to ``{"a.b.c": leaf}``."""
+    if not isinstance(value, dict):
+        return {prefix: value}
+    out = {}
+    for key, item in value.items():
+        out.update(_leaves(item, f"{prefix}.{key}" if prefix else str(key)))
+    return out
+
+
+def _counter_mismatches(base: dict, cand: dict) -> list:
+    """``"path base -> cand"`` for every differing counter leaf."""
+    base_leaves, cand_leaves = _leaves(base), _leaves(cand)
+    return [
+        f"{path} {base_leaves.get(path)} -> {cand_leaves.get(path)}"
+        for path in sorted(set(base_leaves) | set(cand_leaves))
+        if base_leaves.get(path) != cand_leaves.get(path)
+    ]
+
+
 def diff_compute_bench(baseline: dict, candidate: dict,
                        threshold: float = DEFAULT_THRESHOLD,
                        ) -> PerfDeltaReport:
-    """Gate a bench-compute candidate against its baseline artifact."""
+    """Gate a bench-compute candidate against its baseline artifact.
+
+    Speedups are gated at ``threshold``; the counter blocks named by
+    :data:`COMPUTE_COUNTER_FIELDS` must match exactly.
+    """
     report = PerfDeltaReport(kind=COMPUTE_BENCH, threshold=threshold)
     for section in ("differential_audit", "ecr_sweep"):
         in_base = section in baseline
@@ -189,6 +222,16 @@ def diff_compute_bench(baseline: dict, candidate: dict,
             baseline=float(baseline[section]["speedup"]),
             candidate=float(candidate[section]["speedup"]),
         ))
+        for field_name in COMPUTE_COUNTER_FIELDS:
+            mismatches = _counter_mismatches(
+                baseline[section].get(field_name, {}),
+                candidate[section].get(field_name, {}),
+            )
+            if mismatches:
+                report.problems.append(
+                    f"{section} {field_name} counters differ from the "
+                    "baseline: " + "; ".join(mismatches)
+                )
     return report
 
 

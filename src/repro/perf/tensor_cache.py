@@ -3,13 +3,23 @@
 Every functional forward in this repository is a pure function of its
 input bytes and of the model weights: placement and scheduling decide
 *when and where* a tensor is computed, never *what* it contains.  The
-:class:`TensorCache` exploits that — it is a bounded-byte LRU keyed by a
-BLAKE2 digest of ``(model fingerprint, block_idx, stage, input bytes)``,
-so a hit returns the exact array the deterministic compute would have
-produced.  Bitwise parity holds by construction: any byte-level input
-difference (including DAOP's stale-input predictive pre-calculation,
-which feeds the *previous* block's hidden states to an expert) produces
-a different key and therefore a fresh computation.
+:class:`TensorCache` exploits that — it is a bounded-byte LRU whose keys
+name a stage call by content, so a hit returns the exact array the
+deterministic compute would have produced.
+
+The model stages key with plain tuples, ``(model fingerprint,
+block_idx, stage, ...)``: integers and strings go in as they are, and
+each array input goes in as its 16-byte BLAKE2 digest
+(:meth:`TensorCache.key` on one array, which hashes a cached
+dtype/shape header plus the buffer).  An activation is hashed once and
+its digest reused by every stage that reads it, so a key lookup costs a
+tuple hash rather than a re-hash of every part.  Bitwise parity holds by
+construction: a key matches only when every part is equal, so any
+byte-level input difference (including DAOP's stale-input predictive
+pre-calculation, which feeds the *previous* block's hidden states to an
+expert) produces a different key and therefore a fresh computation.
+:func:`content_key` still folds an arbitrary multi-part sequence into
+one digest for callers that want a single ``bytes`` key.
 
 The cache is injected into the model via
 ``MoETransformer.attach_compute_cache`` (duck-typed, so ``repro.model``
@@ -21,8 +31,11 @@ never imports this package) and shared across engines by
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +80,20 @@ class StageCounters:
         return (self.hits + self.memo_hits) / self.lookups
 
 
+@lru_cache(maxsize=1024)
+def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
+    """Length-prefixed type tag of a C-contiguous array part.
+
+    The tag names dtype and shape, so equal bytes under different
+    shapes or dtypes never collide; it is followed by the byte count
+    of the buffer that comes next.  Memoized per ``(dtype, shape)``:
+    the model stages hash the same few activation shapes over and over.
+    """
+    tag = b"A" + f"{dtype.str}|{shape}|".encode("ascii")
+    nbytes = math.prod(shape) * dtype.itemsize
+    return len(tag).to_bytes(4, "big") + tag + nbytes.to_bytes(8, "big")
+
+
 def _update_part(digest: "hashlib._Hash", part: object) -> None:
     """Fold one key part into ``digest`` with an unambiguous encoding.
 
@@ -79,10 +106,8 @@ def _update_part(digest: "hashlib._Hash", part: object) -> None:
         tag, payload = b"N", b""
     elif isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part)
-        tag = b"A" + f"{a.dtype.str}|{a.shape}|".encode("ascii")
+        digest.update(_array_header(a.dtype, a.shape))
         # Hash straight from the array buffer — no tobytes() copy.
-        digest.update(len(tag).to_bytes(4, "big") + tag
-                      + a.nbytes.to_bytes(8, "big"))
         digest.update(a)
         return
     elif isinstance(part, (bytes, bytearray)):
@@ -142,13 +167,31 @@ class TensorCache:
         self.oversize_skips = 0
         self.stage_counters: dict[str, StageCounters] = {}
         # key -> (value, nbytes); insertion order == recency order.
-        self._entries: "OrderedDict[bytes, tuple[object, int]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, tuple[object, int]]" = (
+            OrderedDict()
+        )
 
     # ---- keys ----------------------------------------------------------------
 
     @staticmethod
     def key(*parts: object) -> bytes:
-        """Build a content-addressed key; see :func:`content_key`."""
+        """Build a content-addressed key; see :func:`content_key`.
+
+        A single C-contiguous array (of at least one dimension) takes a
+        fast path: one BLAKE2 hash over its cached dtype/shape header
+        and its buffer, byte-identical to ``content_key(array)``.  This
+        is how the model stages digest each activation once before
+        putting the digest into their tuple keys.
+        """
+        if len(parts) == 1:
+            part = parts[0]
+            if (isinstance(part, np.ndarray) and part.ndim
+                    and part.flags.c_contiguous):
+                digest = hashlib.blake2b(
+                    _array_header(part.dtype, part.shape), digest_size=16
+                )
+                digest.update(part)
+                return digest.digest()
         return content_key(*parts)
 
     # ---- lookup / insert -----------------------------------------------------
@@ -172,10 +215,15 @@ class TensorCache:
         counters = self._counters(stage) if stage is not None else None
         return IdentityLRUMemo(capacity=capacity, counters=counters)
 
-    def get(self, key: bytes, stage: str):
+    def get(self, key: Hashable, stage: str):
         """Return the cached value for ``key`` (marking it most recent),
         or ``None`` on a miss.  Either way the ``stage`` counters are
-        updated."""
+        updated.
+
+        ``key`` is any hashable value that names the computation by
+        content: a :meth:`key` digest, or a tuple of plain parts and
+        digests as the model stages build.
+        """
         entry = self._entries.get(key)
         counters = self._counters(stage)
         if entry is None:
@@ -185,8 +233,9 @@ class TensorCache:
         self._entries.move_to_end(key)
         return entry[0]
 
-    def put(self, key: bytes, stage: str, value):
-        """Store ``value`` (an array or tuple of arrays) under ``key``.
+    def put(self, key: Hashable, stage: str, value):
+        """Store ``value`` (an array or tuple of arrays) under ``key``
+        (any hashable, as for :meth:`get`).
 
         Returns the stored read-only copy so callers can return the very
         object a later hit would produce — hit and miss paths then hand

@@ -24,6 +24,7 @@ from repro.perf import (
     diff_compute_bench,
     load_benchmark,
 )
+from repro.perf.perf_delta import COMPUTE_COUNTER_FIELDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,6 +118,40 @@ class TestComputeDiff:
         assert not report.ok
         assert any("differential_audit" in d.metric
                    for d in report.regressions)
+
+    def test_self_diff_has_no_counter_problems(self, compute_payload):
+        report = diff_compute_bench(compute_payload,
+                                    copy.deepcopy(compute_payload))
+        assert report.problems == []
+
+    @pytest.mark.parametrize("field", COMPUTE_COUNTER_FIELDS)
+    def test_perturbed_stage_hit_count_fails(self, compute_payload, field):
+        candidate = copy.deepcopy(compute_payload)
+        counters = candidate["ecr_sweep"][field]
+        stages = counters["stages"] if field == "cache" else counters
+        stages["expert"]["hits"] += 1
+        report = diff_compute_bench(compute_payload, candidate)
+        assert not report.ok
+        assert not report.regressions  # speedups untouched
+        (problem,) = report.problems
+        assert problem.startswith(f"ecr_sweep {field} counters differ")
+        assert "expert.hits" in problem
+
+    def test_counter_gate_ignores_threshold(self, compute_payload):
+        """Counters are deterministic: no threshold forgives a change."""
+        candidate = copy.deepcopy(compute_payload)
+        candidate["differential_audit"]["cache"]["evictions"] += 1
+        report = diff_compute_bench(compute_payload, candidate,
+                                    threshold=10.0)
+        assert not report.ok
+        assert "evictions 0 -> 1" in report.problems[0]
+
+    def test_missing_counter_block_fails(self, compute_payload):
+        candidate = copy.deepcopy(compute_payload)
+        del candidate["differential_audit"]["stages_warm"]
+        report = diff_compute_bench(compute_payload, candidate)
+        assert any("differential_audit stages_warm" in p
+                   for p in report.problems)
 
 
 class TestDiffBenchmarks:

@@ -2,18 +2,22 @@
 
 Covers the cache-aware ``MoEBlock`` stage API, the hoisted ``ffn_norm``
 (one normalization shared by the gate and every expert), the grouped
-expert dispatch in ``MoEBlock.forward``, the attention KV replay, and the
-weights-fingerprint invalidation on quantization.
+expert dispatch in ``MoEBlock.forward``, the attention KV replay, the
+weights-fingerprint invalidation on quantization, the separation of the
+tuple stage keys, and the digest memo under gathered batching.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import build_engine
+from repro.core.engine import SequenceRequest
 from repro.model.config import SimSpec
 from repro.model.moe_block import MoEBlock
 from repro.model.quantization import quantize_experts
 from repro.model.zoo import build_tiny_moe
 from repro.perf import TensorCache
+from repro.sched import ContinuousBatchScheduler
 
 
 @pytest.fixture()
@@ -252,3 +256,185 @@ def test_quantization_invalidates_weights_fingerprint(rng):
     np.testing.assert_array_equal(
         after, model.blocks[0].expert_forward(0, h_att)
     )
+
+
+# ---- key separation: equal bytes, different computation ----------------------
+
+
+def _misses(cache, stage):
+    counters = cache.stage_counters.get(stage)
+    return 0 if counters is None else counters.misses
+
+
+def _expect_miss(cache, stage, call):
+    """Run ``call`` and assert it missed the cache exactly once."""
+    before = _misses(cache, stage)
+    out = call()
+    assert _misses(cache, stage) == before + 1
+    return out
+
+
+@pytest.fixture()
+def cached_model():
+    model = build_tiny_moe(seed=0, n_blocks=2).model
+    cache = TensorCache()
+    model.attach_compute_cache(cache)
+    yield model, cache
+    model.detach_compute_cache()
+
+
+def test_same_bytes_under_another_block_or_stage_miss(cached_model, rng):
+    model, cache = cached_model
+    h_att = rng.standard_normal(
+        (3, model.profile.sim.d_model)
+    ).astype(np.float32)
+    block0, block1 = model.blocks
+    _expect_miss(cache, "ffn_norm", lambda: block0.ffn_normed(h_att))
+    _expect_miss(cache, "gate", lambda: block0.gate_logits(h_att.copy()))
+    _expect_miss(cache, "gate", lambda: block1.gate_logits(h_att.copy()))
+    # The expert keys on the very digest the gate used, under its own
+    # stage name (its ffn_norm lookup legitimately hits block 0's entry).
+    _expect_miss(cache, "expert",
+                 lambda: block0.expert_forward(0, h_att.copy()))
+    assert cache.stage_counters["gate"].hits == 0
+    block0.gate_logits(h_att.copy())
+    assert cache.stage_counters["gate"].hits == 1
+
+
+def test_same_bytes_under_another_expert_or_token_idx_miss(cached_model,
+                                                           rng):
+    model, cache = cached_model
+    block = model.blocks[0]
+    h_att = rng.standard_normal(
+        (3, model.profile.sim.d_model)
+    ).astype(np.float32)
+    _expect_miss(cache, "expert", lambda: block.expert_forward(0, h_att))
+    _expect_miss(cache, "expert", lambda: block.expert_forward(1, h_att))
+    for token_idx in ([0], [1], [0, 2], [2, 0], []):
+        _expect_miss(cache, "expert", lambda: block.expert_forward(
+            0, h_att, token_idx=token_idx
+        ))
+    # The same rows as one-row input: equal selected bytes, but a
+    # different input row count and digest.
+    _expect_miss(cache, "expert", lambda: block.expert_forward(
+        0, h_att[1:2].copy()
+    ))
+    assert cache.stage_counters["expert"].hits == 0
+    block.expert_forward(0, h_att.copy(), token_idx=[2, 0])
+    assert cache.stage_counters["expert"].hits == 1
+
+
+def test_attention_positions_separate_keys(cached_model, rng):
+    model, cache = cached_model
+    block = model.blocks[0]
+    h = rng.standard_normal((3, model.profile.sim.d_model)).astype(np.float32)
+    first = _expect_miss(cache, "attn", lambda: block.attention_part(
+        h, block.attention.new_cache(), np.arange(3)
+    ))
+    shifted = _expect_miss(cache, "attn", lambda: block.attention_part(
+        h, block.attention.new_cache(), np.arange(1, 4)
+    ))
+    # RoPE makes the shifted positions a different computation.
+    assert not np.array_equal(first, shifted)
+    block.attention_part(h, block.attention.new_cache(), np.arange(3))
+    assert cache.stage_counters["attn"].hits == 1
+
+
+def test_daop_stale_precalc_input_misses_true_input(cached_model, rng):
+    """DAOP pre-calculates block ``b+1``'s expert on block ``b``'s
+    post-attention states; the true input must never hit that entry,
+    and block ``b``'s own expert on the stale bytes must not either."""
+    model, cache = cached_model
+    block0, block1 = model.blocks
+    tokens = rng.integers(0, model.profile.sim.vocab_size, size=4)
+    positions = np.arange(4)
+    kv = model.new_caches()
+    h_att0 = block0.attention_part(model.embed(tokens), kv[0], positions)
+    h1, _ = block0.forward(model.embed(tokens), block0.attention.new_cache(),
+                           positions)
+    h_att1 = block1.attention_part(h1, kv[1], positions)
+
+    stale = _expect_miss(cache, "expert",
+                         lambda: block1.expert_forward(0, h_att0.copy()))
+    true = _expect_miss(cache, "expert",
+                        lambda: block1.expert_forward(0, h_att1))
+    assert not np.array_equal(stale, true)
+    own_hits = cache.stage_counters["expert"].hits
+    _expect_miss(cache, "expert",
+                 lambda: block0.expert_forward(0, h_att0, token_idx=[3, 1]))
+    assert cache.stage_counters["expert"].hits == own_hits
+    # Re-presenting the stale input to block b+1 is a hit, bitwise equal.
+    np.testing.assert_array_equal(
+        block1.expert_forward(0, h_att0.copy()), stale
+    )
+    assert cache.stage_counters["expert"].hits == own_hits + 1
+
+
+# ---- the digest memo under gathered batching ---------------------------------
+
+
+class _DigestCountingCache(TensorCache):
+    """A TensorCache that counts single-array digests."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.digests = 0
+
+    def key(self, *parts):
+        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
+            self.digests += 1
+        return TensorCache.key(*parts)
+
+
+def test_digest_count_does_not_grow_with_batch_size(
+        tiny_bundle, platform, tiny_calibration):
+    """A gathered round interleaves sequences through each block; the
+    digest memo must still hash every activation only once."""
+    rng = np.random.default_rng(7)
+    requests = [
+        SequenceRequest(
+            prompt_tokens=rng.integers(0, tiny_bundle.vocab.vocab_size,
+                                       size=10, dtype=np.int64),
+            max_new_tokens=4, seq_id=i,
+        )
+        for i in range(8)
+    ]
+    runs = {}
+    for max_batch in (1, 4):
+        engine = build_engine("daop", tiny_bundle, platform,
+                              expert_cache_ratio=0.5,
+                              calibration_probs=tiny_calibration)
+        cache = _DigestCountingCache()
+        tiny_bundle.model.attach_compute_cache(cache)
+        try:
+            report = ContinuousBatchScheduler(
+                engine, max_batch=max_batch
+            ).run(requests)
+        finally:
+            tiny_bundle.model.detach_compute_cache()
+        runs[max_batch] = (cache.digests, cache.stats()["stages"], report)
+    digests1, stages1, report1 = runs[1]
+    digests4, stages4, report4 = runs[4]
+    assert report4.gather.max_group_size > 1  # rounds really interleave
+    assert stages4 == stages1
+    assert digests4 == digests1
+    # One digest per block input, post-attention state and gate logits,
+    # plus one per LM-head row: nothing is hashed twice.
+    block_steps = stages1["attn"]["misses"] + stages1["attn"]["hits"]
+    lm_rows = stages1["lm_head"]["misses"] + stages1["lm_head"]["hits"]
+    assert digests1 == 3 * block_steps + lm_rows
+    for a, b in zip(report1.records, report4.records):
+        assert np.array_equal(a.result.tokens, b.result.tokens)
+
+
+def test_set_compute_cache_resets_the_digest_memo(block, rng):
+    h_att = rng.standard_normal((2, 32)).astype(np.float32)
+    cache = _DigestCountingCache()
+    block.set_compute_cache(cache, "scope")
+    block.gate_logits(h_att)
+    block.expert_forward(0, h_att)
+    assert cache.digests == 1  # the expert reused the gate's digest
+    block.set_compute_cache(cache, "scope")
+    block.expert_forward(0, h_att)
+    assert cache.digests == 2
+    block.set_compute_cache(None, None)

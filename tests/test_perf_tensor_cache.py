@@ -47,6 +47,46 @@ def test_key_covers_dtype_and_shape():
     )
 
 
+def test_single_array_fast_path_matches_content_key(rng):
+    """``TensorCache.key(array)`` is byte-identical to ``content_key``.
+
+    The one-array fast path hashes a cached dtype/shape header plus the
+    buffer; every other part list goes through :func:`content_key`, so
+    both spellings must agree for every layout and dtype.
+    """
+    m = rng.standard_normal((6, 8)).astype(np.float32)
+    arrays = [
+        m,
+        m[:1],                       # one row: a decode-step activation
+        m[:, ::2],                   # non-contiguous view
+        np.asfortranarray(m),        # Fortran order
+        m.astype(np.float64),
+        m.astype(">f4"),             # non-native byte order
+        np.arange(5, dtype=np.int64),
+        np.zeros((0, 8), dtype=np.float32),
+        np.array(3.0, dtype=np.float32),  # 0-d
+    ]
+    for a in arrays:
+        assert TensorCache.key(a) == content_key(a)
+    # The header cache is keyed by dtype and shape, not by the array.
+    assert TensorCache.key(m.reshape(8, 6)) != TensorCache.key(m)
+    assert TensorCache.key(m.astype(">f4")) != TensorCache.key(m)
+
+
+def test_tuple_keys_share_the_cache_with_digest_keys(rng):
+    """``get``/``put`` accept any hashable key; tuples and digests never
+    alias one another."""
+    cache = TensorCache()
+    a = rng.standard_normal(4).astype(np.float32)
+    digest = cache.key(a)
+    cache.put(("scope", 0, "gate", digest), "gate", a)
+    assert cache.get(digest, "gate") is None
+    assert cache.get(("scope", 1, "gate", digest), "gate") is None
+    np.testing.assert_array_equal(
+        cache.get(("scope", 0, "gate", cache.key(a.copy())), "gate"), a
+    )
+
+
 def test_key_rejects_unhashable_parts():
     with pytest.raises(TypeError):
         content_key([1, 2, 3])
